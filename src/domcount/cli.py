@@ -227,6 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Counts run to tens of thousands of digits and are printed in full.
+    # Lift the int/str conversion cap for this call only, so a caller that
+    # runs main in-process keeps its own setting.
+    saved_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ForestError, ValueError) as exc:
@@ -235,6 +240,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(saved_digits)
 
 
 if __name__ == "__main__":

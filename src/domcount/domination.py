@@ -1,19 +1,28 @@
 """Exact domination number and minimum-dominating-set counting on forests.
 
-The counter runs a three-state dynamic program over each rooted component.
-Per vertex it tracks (size, count) records for:
+Each tree component is rooted into a flat parent array (``root_at``) and
+folded from its last position to its first, so a vertex is complete
+before it is merged into its parent.  Per position the fold keeps, as
+plain integers, the minimum size and the exact number of sets of that
+size for three states:
 
   sigma0 -- the vertex is in the dominating set,
   sigma1 -- the vertex is out but dominated by one of its children,
   sigma2 -- the vertex is out and not yet dominated (its parent must be in).
 
-Records combine by adding sizes and multiplying counts; alternatives merge
-by keeping the smaller size and adding counts on ties.  The sigma1 state
-needs at least one sigma0 child.  That constraint is folded with a pair of
-running records (no chosen child yet / at least one chosen child); it is
-not recovered by subtracting unconstrained counts, because the constrained
-minimum can be strictly larger than the unconstrained one and subtraction
-would lose those sets.
+Merging a child adds sizes and multiplies counts; alternatives keep the
+smaller size and add counts on ties.  An infeasible state has size None
+and count 0.  sigma1 needs at least one child in sigma0: while children
+are merged, sigma2 doubles as the running "no child in sigma0 yet" record
+and sigma1 as the "at least one" record.  The constraint is not recovered
+by subtracting unconstrained counts, because the constrained minimum can
+be strictly larger than the unconstrained one and subtraction would lose
+those sets.
+
+Enumeration walks the same tables.  It splits the sigma1 sets of a vertex
+by their first child in sigma0: the children before it are in sigma1, the
+later ones in whichever of sigma0 and sigma1 is smaller (both on a tie),
+and a split is expanded only when its total size equals sigma1's.
 
 Counts are exact arbitrary-precision integers throughout.
 """
@@ -27,95 +36,48 @@ from .forest import Forest, RootedTree, root_at
 from .limits import oracle_max_order
 
 
-@dataclass(frozen=True)
-class MinCount:
-    """A subproblem optimum: minimal size plus the exact number of optima.
+def _pick_min(za, ca, zb, cb):
+    """The smaller of two (size, count) alternatives; counts add on ties."""
+    if zb is None or (za is not None and za < zb):
+        return za, ca
+    if za is None or zb < za:
+        return zb, cb
+    return za, ca + cb
 
-    ``size`` is None when the subproblem is infeasible, in which case the
-    count is zero; a feasible record always counts at least one set.
+
+def mds_table(parent: list[int]):
+    """Sizes and counts of every state at every position of a rooted tree.
+
+    ``parent`` is ``RootedTree.parent``.  Returns ``(sizes, counts)``, each
+    a triple of lists indexed by state (sigma0, sigma1, sigma2) and then by
+    position.
     """
-    size: int | None
-    count: int
-
-    @property
-    def feasible(self) -> bool:
-        return self.size is not None
-
-
-INFEASIBLE = MinCount(None, 0)
-
-
-def mc_combine(a: MinCount, b: MinCount) -> MinCount:
-    """Join independent subproblems: sizes add, counts multiply."""
-    if a.size is None or b.size is None:
-        return INFEASIBLE
-    return MinCount(a.size + b.size, a.count * b.count)
-
-
-def mc_select(a: MinCount, b: MinCount) -> MinCount:
-    """Choose the better alternative: min size, counts add on ties."""
-    if a.size is None:
-        return b
-    if b.size is None:
-        return a
-    if a.size < b.size:
-        return a
-    if b.size < a.size:
-        return b
-    return MinCount(a.size, a.count + b.count)
-
-
-@dataclass
-class DomStateTable:
-    """Per-vertex DP records for one rooted component."""
-    tree: RootedTree
-    sigma0: dict[int, MinCount]
-    sigma1: dict[int, MinCount]
-    sigma2: dict[int, MinCount]
-    # sigma1 fold prefixes per vertex: list of (no sigma0 child yet, has one)
-    # after each child, kept for DP-guided enumeration.
-    sigma1_prefix: dict[int, list[tuple[MinCount, MinCount]]]
-
-    def root_result(self) -> MinCount:
-        return mc_select(self.sigma0[self.tree.root], self.sigma1[self.tree.root])
-
-
-def dominating_state_table(tree: RootedTree) -> DomStateTable:
-    s0: dict[int, MinCount] = {}
-    s1: dict[int, MinCount] = {}
-    s2: dict[int, MinCount] = {}
-    prefixes: dict[int, list[tuple[MinCount, MinCount]]] = {}
-    for v in tree.post_order:
-        kids = tree.children[v]
-        in_set = MinCount(1, 1)
-        undominated = MinCount(0, 1)
-        track = [(MinCount(0, 1), INFEASIBLE)]
-        for c in kids:
-            any_state = mc_select(mc_select(s0[c], s1[c]), s2[c])
-            in_set = mc_combine(in_set, any_state)
-            undominated = mc_combine(undominated, s1[c])
-            no_chosen, has_chosen = track[-1]
-            track.append((
-                mc_combine(no_chosen, s1[c]),
-                mc_select(mc_combine(has_chosen, mc_select(s0[c], s1[c])),
-                          mc_combine(no_chosen, s0[c])),
-            ))
-        s0[v] = in_set
-        s1[v] = track[-1][1]
-        s2[v] = undominated
-        prefixes[v] = track
-    return DomStateTable(tree=tree, sigma0=s0, sigma1=s1, sigma2=s2, sigma1_prefix=prefixes)
+    m = len(parent)
+    z0, c0 = [1] * m, [1] * m
+    z1, c1 = [None] * m, [0] * m
+    z2, c2 = [0] * m, [1] * m
+    for i in range(m - 1, 0, -1):
+        p = parent[i]
+        a0, n0, a1, n1 = z0[i], c0[i], z1[i], c1[i]
+        low, n_low = _pick_min(a0, n0, a1, n1)
+        best, n_best = _pick_min(low, n_low, z2[i], c2[i])
+        z0[p] += best
+        c0[p] *= n_best
+        # Before this merge z2[p] is "no child in sigma0 yet", z1[p] "at least one".
+        z_no, c_no, z_has, c_has = z2[p], c2[p], z1[p], c1[p]
+        z1[p], c1[p] = _pick_min(None if z_has is None else z_has + low, c_has * n_low,
+                                 None if z_no is None else z_no + a0, c_no * n0)
+        if z_no is None or a1 is None:
+            z2[p], c2[p] = None, 0
+        else:
+            z2[p], c2[p] = z_no + a1, c_no * n1
+    return (z0, z1, z2), (c0, c1, c2)
 
 
 @dataclass(frozen=True)
 class DomResult:
     gamma: int
     mds_count: int
-
-
-def _component_result(forest: Forest, component: int) -> MinCount:
-    tree = root_at(forest, forest.components[component][0])
-    return dominating_state_table(tree).root_result()
 
 
 def domination_number(forest: Forest) -> int:
@@ -130,85 +92,62 @@ def count_min_dominating_sets(forest: Forest) -> DomResult:
     """
     gamma = 0
     count = 1
-    for comp in range(forest.component_count):
-        record = _component_result(forest, comp)
-        gamma += record.size
-        count *= record.count
+    for members in forest.components:
+        (z0, z1, _), (c0, c1, _) = mds_table(root_at(forest, members[0]).parent)
+        size, number = _pick_min(z0[0], c0[0], z1[0], c1[0])
+        gamma += size
+        count *= number
     return DomResult(gamma, count)
 
 
-def _component_sets(table: DomStateTable) -> list[frozenset[int]]:
+def _joins(base, options) -> list[frozenset[int]]:
+    """``base`` joined with one set from each option list, every way."""
+    return [frozenset(base).union(*parts) for parts in itertools.product(*options)]
+
+
+def _component_sets(tree: RootedTree) -> list[frozenset[int]]:
     """All minimum dominating sets of one component, DP-guided.
 
     Only state choices that achieve the recorded minima are expanded, so
     the work is polynomial in component size times the number of sets.
     """
-    tree = table.tree
+    order = tree.order
+    sizes, _ = mds_table(tree.parent)
+    z0, z1, _ = sizes
+    children = tree.child_positions()
     memo: dict[tuple[int, int], list[frozenset[int]]] = {}
-    prefix_memo: dict[tuple[int, int, bool], list[frozenset[int]]] = {}
 
-    def sets(v: int, state: int) -> list[frozenset[int]]:
-        key = (v, state)
+    def optimal(i: int, states) -> list[frozenset[int]]:
+        feasible = [s for s in states if sizes[s][i] is not None]
+        least = min(sizes[s][i] for s in feasible)
+        return [x for s in feasible if sizes[s][i] == least for x in sets(i, s)]
+
+    def sets(i: int, state: int) -> list[frozenset[int]]:
+        key = (i, state)
         if key in memo:
             return memo[key]
-        kids = tree.children[v]
+        kids = children[i]
         if state == 0:
-            options = []
-            for c in kids:
-                best = mc_select(mc_select(table.sigma0[c], table.sigma1[c]), table.sigma2[c])
-                choice = []
-                for child_state, record in ((0, table.sigma0[c]), (1, table.sigma1[c]), (2, table.sigma2[c])):
-                    if record.feasible and record.size == best.size:
-                        choice.extend(sets(c, child_state))
-                options.append(choice)
-            result = [frozenset({v}).union(*parts)
-                      for parts in itertools.product(*options)]
+            result = _joins({order[i]}, [optimal(c, (0, 1, 2)) for c in kids])
         elif state == 2:
-            options = [sets(c, 1) for c in kids]
-            result = [frozenset().union(*parts)
-                      for parts in itertools.product(*options)]
+            result = _joins((), [sets(c, 1) for c in kids])
         else:
-            result = sigma1_sets(v, len(kids), True)
+            low = [z0[c] if z1[c] is None else min(z0[c], z1[c]) for c in kids]
+            rest = sum(low)
+            head = 0
+            result = []
+            for j, c in enumerate(kids):
+                rest -= low[j]
+                if head + z0[c] + rest == z1[i]:
+                    result += _joins((), [sets(k, 1) for k in kids[:j]] + [sets(c, 0)]
+                                     + [optimal(k, (0, 1)) for k in kids[j + 1:]])
+                if z1[c] is None:
+                    break
+                head += z1[c]
         memo[key] = result
         return result
 
-    def sigma1_sets(v: int, i: int, has_chosen: bool) -> list[frozenset[int]]:
-        # Walk the sigma1 fold backwards through the child prefix records.
-        key = (v, i, has_chosen)
-        if key in prefix_memo:
-            return prefix_memo[key]
-        if i == 0:
-            return [] if has_chosen else [frozenset()]
-        target = table.sigma1_prefix[v][i][1 if has_chosen else 0]
-        c = tree.children[v][i - 1]
-        prev_no, prev_has = table.sigma1_prefix[v][i - 1]
-        out: list[frozenset[int]] = []
-        if has_chosen:
-            for prev_state, prev_record, child_record, child_state in (
-                (True, prev_has, table.sigma0[c], 0),
-                (True, prev_has, table.sigma1[c], 1),
-                (False, prev_no, table.sigma0[c], 0),
-            ):
-                if (prev_record.feasible and child_record.feasible
-                        and prev_record.size + child_record.size == target.size):
-                    for head in sigma1_sets(v, i - 1, prev_state):
-                        for tail in sets(c, child_state):
-                            out.append(head | tail)
-        else:
-            if prev_no.feasible and table.sigma1[c].feasible:
-                for head in sigma1_sets(v, i - 1, False):
-                    for tail in sets(c, 1):
-                        out.append(head | tail)
-        prefix_memo[key] = out
-        return out
-
-    root = tree.root
-    best = table.root_result()
-    result: list[frozenset[int]] = []
-    for state, record in ((0, table.sigma0[root]), (1, table.sigma1[root])):
-        if record.feasible and record.size == best.size:
-            result.extend(sets(root, state))
-    return result
+    return optimal(0, (0, 1))
 
 
 def enumerate_min_dominating_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
@@ -220,13 +159,10 @@ def enumerate_min_dominating_sets(forest: Forest, limit: int | None = None) -> l
     guard = oracle_max_order()
     if forest.n > guard:
         raise ValueError(f"enumeration capped at order {guard}, got {forest.n}")
-    per_component: list[list[frozenset[int]]] = []
-    for comp in range(forest.component_count):
-        tree = root_at(forest, forest.components[comp][0])
-        per_component.append(_component_sets(dominating_state_table(tree)))
     combined = [frozenset()]
-    for sets_here in per_component:
-        combined = [acc | s for acc in combined for s in sets_here]
+    for members in forest.components:
+        here = _component_sets(root_at(forest, members[0]))
+        combined = [acc | s for acc in combined for s in here]
     combined.sort(key=lambda s: tuple(sorted(s)))
     if limit is not None:
         combined = combined[:limit]

@@ -4,6 +4,10 @@ Vertices are dense 0-based integers.  Isolated vertices are legal and form
 their own components, which is why the text format declares the vertex
 count explicitly instead of inferring it from the edge list.
 
+Rooting a component gives a flat parent array in breadth-first order, in
+which every parent comes before its children; the counting programs fold
+it from the last position to the first.
+
 All structures are built once and never mutated afterwards, so they are
 safe to share across threads.
 """
@@ -203,45 +207,40 @@ def pendant_two_paths(forest: Forest, hub: int, away_from: int) -> list[tuple[in
 
 @dataclass
 class RootedTree:
-    forest: Forest
+    """One tree component as a flat parent array.
+
+    ``order`` lists the component's vertices breadth-first from the root,
+    so ``order[0]`` is the root.  ``parent[i]`` is the position in
+    ``order`` of the parent of ``order[i]``, and -1 at the root.  Parents
+    precede their children, so a loop over positions from last to first
+    sees every child before its parent.
+    """
     component: int
-    root: int
-    parent: dict[int, int | None]
-    children: dict[int, list[int]]
-    post_order: list[int]
+    order: list[int]
+    parent: list[int]
+
+    def child_positions(self) -> list[list[int]]:
+        """The positions of each position's children, in increasing order."""
+        children: list[list[int]] = [[] for _ in self.parent]
+        for i in range(1, len(self.parent)):
+            children[self.parent[i]].append(i)
+        return children
 
 
 def root_at(forest: Forest, root: int, component: int | None = None) -> RootedTree:
-    """Orient one tree component away from ``root``.
-
-    ``post_order`` lists every child before its parent, with the root last.
-    """
+    """Orient the tree component containing ``root`` away from it."""
     if not (0 <= root < forest.n):
         raise ForestError(f"vertex {root} outside range 0..{forest.n - 1}")
     comp = forest.comp_id[root]
     if component is not None and component != comp:
         raise ForestError(f"vertex {root} is not in component {component}")
-    parent: dict[int, int | None] = {root: None}
-    children: dict[int, list[int]] = {}
     order = [root]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        kids = [w for w in forest.adj[v] if w != parent[v]]
-        children[v] = kids
-        for w in kids:
-            parent[w] = v
-        order.extend(kids)
-    post: list[int] = []
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            post.append(v)
-            continue
-        stack.append((v, True))
-        for c in reversed(children[v]):
-            stack.append((c, False))
-    return RootedTree(forest=forest, component=comp, root=root,
-                      parent=parent, children=children, post_order=post)
+    parent = [-1]
+    # Iterating a list while appending to it visits the appended items too.
+    for i, v in enumerate(order):
+        up = order[parent[i]] if i else -1
+        for w in forest.adj[v]:
+            if w != up:
+                order.append(w)
+                parent.append(i)
+    return RootedTree(component=comp, order=order, parent=parent)

@@ -1,10 +1,10 @@
 """Exact independence number and maximum-independent-set counting.
 
-Mirrors the domination counter with a two-state (max, count) program: per
-vertex either IN (in the independent set, children must be OUT) or OUT
-(children free).  Also ships the structural recognizer for the trees that
-meet the 2^(alpha-1)+1 count with equality: a star with all but one edge
-subdivided once.
+Mirrors the domination counter with a two-state (max, count) fold over the
+same flat rooting: per vertex either IN (in the independent set, children
+must be OUT) or OUT (children free).  Also ships the structural recognizer
+for the trees that meet the 2^(alpha-1)+1 count with equality: a star with
+all but one edge subdivided once.
 """
 
 from __future__ import annotations
@@ -12,47 +12,42 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .forest import Forest, root_at
+from .forest import Forest, RootedTree, root_at
 from .limits import oracle_max_order
 
 
-@dataclass(frozen=True)
-class MaxCount:
-    size: int
-    count: int
+def _pick_max(za, ca, zb, cb):
+    """The larger of two (size, count) alternatives; counts add on ties."""
+    if za > zb:
+        return za, ca
+    if zb > za:
+        return zb, cb
+    return za, ca + cb
 
 
-def xc_combine(a: MaxCount, b: MaxCount) -> MaxCount:
-    return MaxCount(a.size + b.size, a.count * b.count)
+def mis_table(parent: list[int]):
+    """Sizes and counts of both states at every position of a rooted tree.
 
-
-def xc_select(a: MaxCount, b: MaxCount) -> MaxCount:
-    if a.size > b.size:
-        return a
-    if b.size > a.size:
-        return b
-    return MaxCount(a.size, a.count + b.count)
+    ``parent`` is ``RootedTree.parent``.  Returns ``(sizes, counts)``, each
+    a pair of lists indexed by state (IN, OUT) and then by position.
+    """
+    m = len(parent)
+    z_in, c_in = [1] * m, [1] * m
+    z_out, c_out = [0] * m, [1] * m
+    for i in range(m - 1, 0, -1):
+        p = parent[i]
+        z_in[p] += z_out[i]
+        c_in[p] *= c_out[i]
+        best, n_best = _pick_max(z_in[i], c_in[i], z_out[i], c_out[i])
+        z_out[p] += best
+        c_out[p] *= n_best
+    return (z_in, z_out), (c_in, c_out)
 
 
 @dataclass(frozen=True)
 class IndResult:
     alpha: int
     mis_count: int
-
-
-def _component_tables(forest: Forest, component: int):
-    tree = root_at(forest, forest.components[component][0])
-    inside: dict[int, MaxCount] = {}
-    outside: dict[int, MaxCount] = {}
-    for v in tree.post_order:
-        rec_in = MaxCount(1, 1)
-        rec_out = MaxCount(0, 1)
-        for c in tree.children[v]:
-            rec_in = xc_combine(rec_in, outside[c])
-            rec_out = xc_combine(rec_out, xc_select(inside[c], outside[c]))
-        inside[v] = rec_in
-        outside[v] = rec_out
-    return tree, inside, outside
 
 
 def independence_number(forest: Forest) -> int:
@@ -64,12 +59,39 @@ def count_max_independent_sets(forest: Forest) -> IndResult:
     sizes add and counts multiply over components."""
     alpha = 0
     count = 1
-    for comp in range(forest.component_count):
-        tree, inside, outside = _component_tables(forest, comp)
-        best = xc_select(inside[tree.root], outside[tree.root])
-        alpha += best.size
-        count *= best.count
+    for members in forest.components:
+        (z_in, z_out), (c_in, c_out) = mis_table(root_at(forest, members[0]).parent)
+        size, number = _pick_max(z_in[0], c_in[0], z_out[0], c_out[0])
+        alpha += size
+        count *= number
     return IndResult(alpha, count)
+
+
+def _component_sets(tree: RootedTree) -> list[frozenset[int]]:
+    """All maximum independent sets of one component, DP-guided."""
+    order = tree.order
+    (z_in, z_out), _ = mis_table(tree.parent)
+    children = tree.child_positions()
+    memo: dict[tuple[int, bool], list[frozenset[int]]] = {}
+
+    def optimal(i: int) -> list[frozenset[int]]:
+        best = max(z_in[i], z_out[i])
+        return ((sets(i, True) if z_in[i] == best else [])
+                + (sets(i, False) if z_out[i] == best else []))
+
+    def sets(i: int, in_set: bool) -> list[frozenset[int]]:
+        key = (i, in_set)
+        if key not in memo:
+            if in_set:
+                base = {order[i]}
+                options = [sets(c, False) for c in children[i]]
+            else:
+                base = ()
+                options = [optimal(c) for c in children[i]]
+            memo[key] = [frozenset(base).union(*parts) for parts in itertools.product(*options)]
+        return memo[key]
+
+    return optimal(0)
 
 
 def enumerate_max_independent_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
@@ -78,39 +100,8 @@ def enumerate_max_independent_sets(forest: Forest, limit: int | None = None) -> 
     if forest.n > guard:
         raise ValueError(f"enumeration capped at order {guard}, got {forest.n}")
     combined = [frozenset()]
-    for comp in range(forest.component_count):
-        tree, inside, outside = _component_tables(forest, comp)
-        memo: dict[tuple[int, bool], list[frozenset[int]]] = {}
-
-        def sets(v: int, in_state: bool) -> list[frozenset[int]]:
-            key = (v, in_state)
-            if key in memo:
-                return memo[key]
-            if in_state:
-                options = [sets(c, False) for c in tree.children[v]]
-                result = [frozenset({v}).union(*parts)
-                          for parts in itertools.product(*options)]
-            else:
-                options = []
-                for c in tree.children[v]:
-                    best = xc_select(inside[c], outside[c])
-                    choice = []
-                    if inside[c].size == best.size:
-                        choice.extend(sets(c, True))
-                    if outside[c].size == best.size:
-                        choice.extend(sets(c, False))
-                    options.append(choice)
-                result = [frozenset().union(*parts)
-                          for parts in itertools.product(*options)]
-            memo[key] = result
-            return result
-
-        best = xc_select(inside[tree.root], outside[tree.root])
-        here: list[frozenset[int]] = []
-        if inside[tree.root].size == best.size:
-            here.extend(sets(tree.root, True))
-        if outside[tree.root].size == best.size:
-            here.extend(sets(tree.root, False))
+    for members in forest.components:
+        here = _component_sets(root_at(forest, members[0]))
         combined = [acc | s for acc in combined for s in here]
     combined.sort(key=lambda s: tuple(sorted(s)))
     if limit is not None:

@@ -30,8 +30,6 @@ from .independence import SpiderShape, count_max_independent_sets, is_subdivided
 from .limits import search_max_order
 from .treegen import CanonicalCode, generate_trees
 
-ALL_CHECKS = ("mds-bound", "mis-bound", "order-bound", "diagnostics")
-
 # 2.4606 as an exact rational: the bound's base, truncated to the four
 # decimals used in the statement being checked.
 _BOUND_NUMERATOR = 24606
@@ -193,7 +191,6 @@ class TreeRow:
 class SearchReport:
     min_order: int
     max_order: int
-    checks: tuple[str, ...]
     trees_processed: int
     gamma_records: dict[int, ExtremalRecord]
     alpha_records: dict[int, ExtremalRecord]
@@ -289,11 +286,12 @@ def _iter_batches(min_order: int, max_order: int, batch_size: int = 256):
             yield batch
 
 
-def search_extremal(min_order: int, max_order: int, checks=None, jobs: int = 1,
+def search_extremal(min_order: int, max_order: int, diagnostics: bool = True, jobs: int = 1,
                     emit_rows: bool = False) -> SearchReport:
     """Sweep all free trees with min_order <= n <= max_order.
 
-    ``checks`` selects which verdicts are collected (default: all).  The
+    Every tree gets the three bound checks; ``diagnostics`` adds
+    ``extremal_diagnostics`` on each per-gamma record witness.  The
     report is byte-for-byte identical for every ``jobs`` value: batches are
     contiguous chunks of the deterministic generation stream and merging is
     associative with fixed tie-breaking.
@@ -305,12 +303,6 @@ def search_extremal(min_order: int, max_order: int, checks=None, jobs: int = 1,
         raise ValueError(f"max order {max_order} exceeds the search ceiling {ceiling}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if checks is None:
-        checks = ALL_CHECKS
-    checks = tuple(checks)
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
 
     worker = partial(_process_batch, emit_rows=emit_rows)
     if jobs == 1:
@@ -324,18 +316,17 @@ def search_extremal(min_order: int, max_order: int, checks=None, jobs: int = 1,
     report = SearchReport(
         min_order=min_order,
         max_order=max_order,
-        checks=checks,
         trees_processed=merged.trees,
         gamma_records={g: ExtremalRecord(g, c, CanonicalCode(lv), o)
                        for g, (c, o, lv) in sorted(merged.gamma_records.items())},
         alpha_records={a: ExtremalRecord(a, c, CanonicalCode(lv), o)
                        for a, (c, o, lv) in sorted(merged.alpha_records.items())},
-        mds_bound_violations=merged.mds_violations if "mds-bound" in checks else [],
-        mis_bound_violations=merged.mis_violations if "mis-bound" in checks else [],
-        order_bound_violations=merged.order_violations if "order-bound" in checks else [],
+        mds_bound_violations=merged.mds_violations,
+        mis_bound_violations=merged.mis_violations,
+        order_bound_violations=merged.order_violations,
         rows=merged.rows,
     )
-    if "diagnostics" in checks:
+    if diagnostics:
         report.diagnostics = {
             g: extremal_diagnostics(record.witness.decode())
             for g, record in report.gamma_records.items()
@@ -380,11 +371,14 @@ def report_csv_lines(report: SearchReport) -> list[str]:
 
 
 def report_text(report: SearchReport) -> str:
+    checks = ["mds-bound", "mis-bound", "order-bound"]
+    if report.diagnostics is not None:
+        checks.append("diagnostics")
     lines = [
         "search report",
         f"orders: {report.min_order}..{report.max_order}",
         f"trees processed: {report.trees_processed}",
-        f"checks: {', '.join(report.checks)}",
+        f"checks: {', '.join(checks)}",
         f"mds bound violations: {len(report.mds_bound_violations)}",
     ]
     lines.extend(f"  {code} {detail}" for code, detail in report.mds_bound_violations)

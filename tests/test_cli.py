@@ -1,8 +1,10 @@
+import sys
 from pathlib import Path
 
 import pytest
 
 from domcount.cli import main, sci4
+from domcount.family import closed_form_count
 
 FIXTURE = Path(__file__).parent / "data" / "spider224.forest"
 
@@ -16,6 +18,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def full_digits(value):
+    """Decimal digits of ``value`` regardless of the int/str conversion cap."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_sci4():
@@ -39,6 +51,32 @@ def test_count_csv(capsys, tstar_file):
     lines = out.strip().splitlines()
     assert lines[0] == "n,components,gamma,mds_count,mds_count_sci,alpha,mis_count,mis_count_sci"
     assert lines[1].startswith("9,1,4,18,1.800e1,5,")
+
+
+def test_count_prints_counts_past_the_digit_cap(capsys, tmp_path):
+    target = tmp_path / "matching.forest"
+    target.write_text("n 30000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(15000)))
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "--input", str(target), "--format", "csv")
+    assert sys.get_int_max_str_digits() == cap
+    assert (code, err) == (0, "")
+    digits = full_digits(2**15000)
+    assert len(digits) == 4516
+    sci = f"{digits[0]}.{digits[1:4]}e4515"
+    assert out.splitlines()[1] == f"30000,15000,15000,{digits},{sci},15000,{digits},{sci}"
+
+
+def test_optimize_family_prints_counts_past_the_digit_cap(capsys):
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "optimize-family", "--gamma", "15000", "--format", "csv")
+    assert sys.get_int_max_str_digits() == cap
+    assert (code, err) == (0, "")
+    fields = out.splitlines()[1].split(",")
+    value = closed_form_count(15000, int(fields[1]))
+    assert fields[2] == full_digits(value)
+    assert fields[4] == full_digits(value - 2**14999)
+    for digits, sci in ((fields[2], fields[3]), (fields[4], fields[5])):
+        assert sci == f"{digits[0]}.{digits[1:4]}e{len(digits) - 1}"
 
 
 def test_enumerate_text(capsys, tstar_file):

@@ -3,16 +3,12 @@ from hypothesis import given, settings
 
 from strategies import forests, labeled_trees
 from domcount.domination import (
-    INFEASIBLE,
     DomResult,
-    MinCount,
     brute_force_domination,
     count_min_dominating_sets,
-    dominating_state_table,
     domination_number,
     enumerate_min_dominating_sets,
-    mc_combine,
-    mc_select,
+    mds_table,
 )
 from domcount.forest import build_forest, classify_vertices, disjoint_union, path, root_at, spider, star
 from domcount.treegen import generate_trees
@@ -25,22 +21,13 @@ def is_dominating(forest, vertices):
     return len(covered) == forest.n
 
 
-def test_semiring_select_and_combine():
-    a, b = MinCount(2, 3), MinCount(2, 5)
-    assert mc_select(a, b) == MinCount(2, 8)
-    assert mc_select(MinCount(1, 7), b) == MinCount(1, 7)
-    assert mc_combine(a, b) == MinCount(4, 15)
-    assert mc_combine(a, INFEASIBLE) == INFEASIBLE
-    assert mc_select(INFEASIBLE, b) == b
-
-
 def test_leaf_state_invariants():
-    table = dominating_state_table(root_at(path(2), 0))
+    sizes, counts = mds_table(root_at(path(2), 0).parent)
     leaf = 1
-    assert table.sigma0[leaf] == MinCount(1, 1)
-    assert table.sigma1[leaf] == INFEASIBLE
-    assert table.sigma2[leaf] == MinCount(0, 1)
-    assert all(table.sigma0[v].size >= 1 for v in (0, 1))
+    assert (sizes[0][leaf], counts[0][leaf]) == (1, 1)
+    assert (sizes[1][leaf], counts[1][leaf]) == (None, 0)
+    assert (sizes[2][leaf], counts[2][leaf]) == (0, 1)
+    assert all(size >= 1 for size in sizes[0])
 
 
 def test_single_vertex():
@@ -89,9 +76,9 @@ def test_root_choice_is_irrelevant():
             forest = code.decode()
             results = set()
             for v in range(forest.n):
-                table = dominating_state_table(root_at(forest, v))
-                record = table.root_result()
-                results.add((record.size, record.count))
+                sizes, counts = mds_table(root_at(forest, v).parent)
+                gamma = min(sizes[s][0] for s in (0, 1) if sizes[s][0] is not None)
+                results.add((gamma, sum(counts[s][0] for s in (0, 1) if sizes[s][0] == gamma)))
             assert len(results) == 1
 
 

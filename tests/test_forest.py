@@ -114,26 +114,27 @@ def test_star_like_strong_support(legs):
 
 def test_root_single_edge():
     tree = root_at(path(2), 0)
-    assert tree.parent == {0: None, 1: 0}
-    assert tree.post_order == [1, 0]
+    assert tree.order == [0, 1]
+    assert tree.parent == [-1, 0]
 
 
 def test_root_path_at_endvertex():
     tree = root_at(path(4), 0)
-    assert tree.post_order[-1] == 0
-    assert tree.post_order == [3, 2, 1, 0]
+    assert tree.order == [0, 1, 2, 3]
+    assert tree.parent == [-1, 0, 1, 2]
 
 
 def test_root_spider_at_center(tstar):
     tree = root_at(tstar, 0)
+    assert tree.order[0] == 0
     assert sorted(_subtree_sizes(tree)) == [2, 2, 4]
 
 
 def _subtree_sizes(tree):
-    sizes = {}
-    for v in tree.post_order:
-        sizes[v] = 1 + sum(sizes[c] for c in tree.children[v])
-    return [sizes[c] for c in tree.children[tree.root]]
+    sizes = [1] * len(tree.order)
+    for i in range(len(tree.order) - 1, 0, -1):
+        sizes[tree.parent[i]] += sizes[i]
+    return [sizes[i] for i in range(1, len(tree.order)) if tree.parent[i] == 0]
 
 
 def test_root_outside_component_rejected():
@@ -141,17 +142,19 @@ def test_root_outside_component_rejected():
     with pytest.raises(ForestError):
         root_at(forest, 2, component=0)
     tree = root_at(forest, 2, component=1)
-    assert tree.post_order == [2]
+    assert (tree.component, tree.order, tree.parent) == (1, [2], [-1])
 
 
-def test_post_order_children_first(tstar):
+def test_parent_positions_precede_children(tstar):
     tree = root_at(tstar, 5)
-    seen = set()
-    for v in tree.post_order:
-        for child in tree.children[v]:
-            assert child in seen
-        seen.add(v)
-    assert tree.post_order[-1] == 5
+    assert tree.order[0] == 5
+    assert tree.parent[0] == -1
+    assert sorted(tree.order) == list(range(tstar.n))
+    for i in range(1, len(tree.order)):
+        assert 0 <= tree.parent[i] < i
+        u, v = sorted((tree.order[i], tree.order[tree.parent[i]]))
+        assert (u, v) in tstar.edges
+    assert tree.child_positions()[0] == [i for i in range(1, len(tree.order)) if tree.parent[i] == 0]
 
 
 def test_disjoint_union_offsets(tstar):

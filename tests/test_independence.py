@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from strategies import labeled_trees
-from domcount.forest import build_forest, disjoint_union, path, spider, star
+from domcount.forest import build_forest, disjoint_union, path, root_at, spider, star
 from domcount.independence import (
     IndResult,
     SpiderShape,
@@ -13,6 +13,7 @@ from domcount.independence import (
     enumerate_max_independent_sets,
     independence_number,
     is_subdivided_star,
+    mis_table,
 )
 from domcount.treegen import generate_trees
 
@@ -53,6 +54,18 @@ def test_dp_matches_brute_force_all_trees_small():
         for code in generate_trees(n):
             forest = code.decode()
             assert count_max_independent_sets(forest) == brute_force_independence(forest)
+
+
+def test_root_choice_is_irrelevant():
+    for n in range(1, 10):
+        for code in generate_trees(n):
+            forest = code.decode()
+            results = set()
+            for v in range(forest.n):
+                sizes, counts = mis_table(root_at(forest, v).parent)
+                alpha = max(sizes[s][0] for s in (0, 1))
+                results.add((alpha, sum(counts[s][0] for s in (0, 1) if sizes[s][0] == alpha)))
+            assert len(results) == 1
 
 
 def test_alpha_at_least_half_order_for_trees():

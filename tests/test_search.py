@@ -147,7 +147,7 @@ def test_search_alpha_records_track_subdivided_stars():
 
 
 def test_search_no_violations_up_to_12():
-    report = search_extremal(1, 12, checks=("mds-bound", "mis-bound", "order-bound"))
+    report = search_extremal(1, 12, diagnostics=False)
     assert report.violation_count == 0
     assert report.diagnostics is None
 
@@ -177,8 +177,6 @@ def test_search_parameter_validation():
         search_extremal(1, 99)
     with pytest.raises(ValueError):
         search_extremal(1, 5, jobs=0)
-    with pytest.raises(ValueError):
-        search_extremal(1, 5, checks=("nonsense",))
 
 
 def test_search_ceiling_env_override(monkeypatch):
