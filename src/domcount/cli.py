@@ -8,6 +8,7 @@ mismatch), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .domination import brute_force_domination, count_min_dominating_sets, enumerate_min_dominating_sets
@@ -136,6 +137,9 @@ def _cmd_optimize_family(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValueError(f"--jobs must be between 1 and the CPU count {cpus}, got {args.jobs}")
     report = search_extremal(args.min_order, args.max_order, jobs=args.jobs,
                              emit_rows=args.emit_all)
     if args.format == "csv":

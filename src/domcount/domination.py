@@ -153,9 +153,12 @@ def _component_sets(tree: RootedTree) -> list[frozenset[int]]:
 def enumerate_min_dominating_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
     """All minimum dominating sets, ordered by their sorted vertex lists.
 
-    Truncated to ``limit`` entries when given.  Guarded by the oracle order
-    cap since output size can grow exponentially.
+    Truncated to ``limit`` entries when given; a negative ``limit`` is
+    rejected.  Guarded by the oracle order cap since output size can grow
+    exponentially.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     guard = oracle_max_order()
     if forest.n > guard:
         raise ValueError(f"enumeration capped at order {guard}, got {forest.n}")

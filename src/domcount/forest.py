@@ -14,7 +14,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ForestError(ValueError):
@@ -27,7 +27,6 @@ class Forest:
     edges: list[tuple[int, int]]
     adj: list[list[int]]
     components: list[list[int]]
-    comp_id: list[int] = field(repr=False)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -40,53 +39,54 @@ class Forest:
 def build_forest(n: int, edges) -> Forest:
     """Validate an edge list and assemble a Forest.
 
+    Each edge is stored as (min, max) and the list is sorted once, so a
+    duplicate edge shows up as two equal neighbours.  Adjacency is built
+    from the sorted list: every vertex first receives its lower neighbours
+    in increasing order, then its higher ones, so each list comes out
+    sorted without a per-vertex sort.
+
     Raises ForestError on self-loops, duplicate or out-of-range edges, and
     on any cycle.
     """
     if n < 0:
         raise ForestError(f"vertex count must be nonnegative, got {n}")
-    seen: set[tuple[int, int]] = set()
     normalized: list[tuple[int, int]] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ForestError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
         if u == v:
             raise ForestError(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ForestError(f"duplicate edge ({key[0]}, {key[1]})")
-        seen.add(key)
-        normalized.append(key)
+        normalized.append((u, v) if u < v else (v, u))
+    normalized.sort()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    previous = None
+    for edge in normalized:
+        if edge == previous:
+            raise ForestError(f"duplicate edge ({edge[0]}, {edge[1]})")
+        previous = edge
+        u, v = edge
         adj[u].append(v)
         adj[v].append(u)
-    for neighbors in adj:
-        neighbors.sort()
-    normalized.sort()
 
     components: list[list[int]] = []
-    comp_id = [-1] * n
+    visited = [False] * n
     for start in range(n):
-        if comp_id[start] != -1:
+        if visited[start]:
             continue
-        comp_index = len(components)
-        stack = [start]
-        comp_id[start] = comp_index
+        visited[start] = True
         members = [start]
-        while stack:
-            v = stack.pop()
+        for v in members:
             for w in adj[v]:
-                if comp_id[w] == -1:
-                    comp_id[w] = comp_index
+                if not visited[w]:
+                    visited[w] = True
                     members.append(w)
-                    stack.append(w)
         members.sort()
         components.append(members)
 
     # A simple graph is acyclic exactly when |E| = n - #components.
     if len(normalized) != n - len(components):
         raise ForestError("cycle detected: edge count exceeds n - #components")
-    return Forest(n=n, edges=normalized, adj=adj, components=components, comp_id=comp_id)
+    return Forest(n=n, edges=normalized, adj=adj, components=components)
 
 
 def parse_forest(text: str) -> Forest:
@@ -215,7 +215,6 @@ class RootedTree:
     precede their children, so a loop over positions from last to first
     sees every child before its parent.
     """
-    component: int
     order: list[int]
     parent: list[int]
 
@@ -227,13 +226,10 @@ class RootedTree:
         return children
 
 
-def root_at(forest: Forest, root: int, component: int | None = None) -> RootedTree:
+def root_at(forest: Forest, root: int) -> RootedTree:
     """Orient the tree component containing ``root`` away from it."""
     if not (0 <= root < forest.n):
         raise ForestError(f"vertex {root} outside range 0..{forest.n - 1}")
-    comp = forest.comp_id[root]
-    if component is not None and component != comp:
-        raise ForestError(f"vertex {root} is not in component {component}")
     order = [root]
     parent = [-1]
     # Iterating a list while appending to it visits the appended items too.
@@ -243,4 +239,4 @@ def root_at(forest: Forest, root: int, component: int | None = None) -> RootedTr
             if w != up:
                 order.append(w)
                 parent.append(i)
-    return RootedTree(component=comp, order=order, parent=parent)
+    return RootedTree(order=order, parent=parent)

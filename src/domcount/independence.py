@@ -95,7 +95,13 @@ def _component_sets(tree: RootedTree) -> list[frozenset[int]]:
 
 
 def enumerate_max_independent_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
-    """All maximum independent sets, ordered by their sorted vertex lists."""
+    """All maximum independent sets, ordered by their sorted vertex lists.
+
+    Truncated to ``limit`` entries when given; a negative ``limit`` is
+    rejected.
+    """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     guard = oracle_max_order()
     if forest.n > guard:
         raise ValueError(f"enumeration capped at order {guard}, got {forest.n}")

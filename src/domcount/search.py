@@ -12,17 +12,19 @@ sets and maximum independent sets, and checks three things per tree:
 
 Per domination number and per independence number the best count seen is
 kept with a witness (ties broken to the smaller order, then the smaller
-canonical code).  The sweep parallelizes over contiguous chunks of the
-generation stream; partial results merge associatively, so the report is
-identical for any worker count.
+canonical code).  Workers map contiguous batches of the generation stream
+to per-tree rows, and the parent folds the rows in stream order.  Orders
+ascend and codes strictly increase within an order, so the first tree to
+reach a record count is the tie-break winner, and the report is identical
+for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .domination import count_min_dominating_sets, enumerate_min_dominating_sets
 from .forest import Forest, classify_vertices, pendant_two_paths
@@ -197,8 +199,8 @@ class SearchReport:
     mds_bound_violations: list[tuple[str, str]]
     mis_bound_violations: list[tuple[str, str]]
     order_bound_violations: list[tuple[str, str]]
+    diagnostics: dict[int, DiagnosticsReport]
     rows: list[TreeRow] | None = None
-    diagnostics: dict[int, DiagnosticsReport] | None = None
 
     @property
     def violation_count(self) -> int:
@@ -206,95 +208,48 @@ class SearchReport:
                 + len(self.order_bound_violations))
 
 
-@dataclass
-class _Partial:
-    trees: int
-    gamma_records: dict[int, tuple[int, int, tuple[int, ...]]]
-    alpha_records: dict[int, tuple[int, int, tuple[int, ...]]]
-    mds_violations: list[tuple[str, str]]
-    mis_violations: list[tuple[str, str]]
-    order_violations: list[tuple[str, str]]
-    rows: list[TreeRow] | None
-
-
-def _better(a: tuple[int, int, tuple[int, ...]], b: tuple[int, int, tuple[int, ...]]):
-    """Record merge: larger count, then smaller order, then smaller code."""
-    a_count, a_order, a_levels = a
-    b_count, b_order, b_levels = b
-    if a_count != b_count:
-        return a if a_count > b_count else b
-    if a_order != b_order:
-        return a if a_order < b_order else b
-    a_key = tuple(-x for x in a_levels)
-    b_key = tuple(-x for x in b_levels)
-    return a if a_key <= b_key else b
-
-
-def _merge_record(records: dict, key: int, entry: tuple[int, int, tuple[int, ...]]):
-    incumbent = records.get(key)
-    records[key] = entry if incumbent is None else _better(incumbent, entry)
-
-
-def _process_batch(levels_batch, emit_rows: bool) -> _Partial:
-    partial_report = _Partial(0, {}, {}, [], [], [], [] if emit_rows else None)
+def _tree_rows(levels_batch) -> list[TreeRow]:
+    """Count and check each tree of a batch; one row per tree, in batch order."""
+    rows = []
     for levels in levels_batch:
         code = CanonicalCode(levels)
         forest = code.decode()
-        n = forest.n
         dom = count_min_dominating_sets(forest)
         ind = count_max_independent_sets(forest)
         shape = is_subdivided_star(forest)
-        mds_ok = verify_mds_bound(dom.gamma, dom.mds_count)
         mis_check = verify_mis_bound(ind.alpha, ind.mis_count, shape)
-        order_ok = ind.mis_count <= mis_order_bound(n)
-        code_str = code.to_string()
-        if not mds_ok:
-            partial_report.mds_violations.append(
-                (code_str, f"gamma={dom.gamma} count={dom.mds_count} exceeds 2.4606^gamma"))
-        if not mis_check.passed:
-            partial_report.mis_violations.append(
-                (code_str, f"alpha={ind.alpha} count={ind.mis_count} exceeds 2^(alpha-1)+1"))
-        elif not mis_check.consistent:
-            partial_report.mis_violations.append(
-                (code_str,
-                 f"alpha={ind.alpha} count={ind.mis_count} equality={mis_check.equality} "
-                 f"recognizer={shape.is_subdivided_star}"))
-        if not order_ok:
-            partial_report.order_violations.append(
-                (code_str, f"order={n} count={ind.mis_count} exceeds order bound {mis_order_bound(n)}"))
-        _merge_record(partial_report.gamma_records, dom.gamma, (dom.mds_count, n, levels))
-        _merge_record(partial_report.alpha_records, ind.alpha, (ind.mis_count, n, levels))
-        if emit_rows:
-            partial_report.rows.append(TreeRow(
-                order=n, code=code_str, gamma=dom.gamma, mds_count=dom.mds_count,
-                alpha=ind.alpha, mis_count=ind.mis_count, mds_bound_ok=mds_ok,
-                mis_bound_ok=mis_check.passed, mis_equality=mis_check.equality,
-                is_subdivided_star=shape.is_subdivided_star))
-        partial_report.trees += 1
-    return partial_report
+        rows.append(TreeRow(
+            order=forest.n, code=code.to_string(), gamma=dom.gamma, mds_count=dom.mds_count,
+            alpha=ind.alpha, mis_count=ind.mis_count,
+            mds_bound_ok=verify_mds_bound(dom.gamma, dom.mds_count),
+            mis_bound_ok=mis_check.passed, mis_equality=mis_check.equality,
+            is_subdivided_star=shape.is_subdivided_star))
+    return rows
 
 
-def _iter_batches(min_order: int, max_order: int, batch_size: int = 256):
+def _iter_batches(min_order: int, max_order: int):
     for n in range(min_order, max_order + 1):
         batch = []
         for code in generate_trees(n):
             batch.append(code.levels)
-            if len(batch) >= batch_size:
+            if len(batch) >= 256:
                 yield batch
                 batch = []
         if batch:
             yield batch
 
 
-def search_extremal(min_order: int, max_order: int, diagnostics: bool = True, jobs: int = 1,
+def search_extremal(min_order: int, max_order: int, jobs: int = 1,
                     emit_rows: bool = False) -> SearchReport:
     """Sweep all free trees with min_order <= n <= max_order.
 
-    Every tree gets the three bound checks; ``diagnostics`` adds
-    ``extremal_diagnostics`` on each per-gamma record witness.  The
-    report is byte-for-byte identical for every ``jobs`` value: batches are
-    contiguous chunks of the deterministic generation stream and merging is
-    associative with fixed tie-breaking.
+    Every tree gets the three bound checks, and every per-gamma record
+    witness gets ``extremal_diagnostics``.  Workers map batches of the
+    generation stream to rows; this function folds the rows in stream
+    order.  The stream has ascending orders and strictly increasing codes
+    within an order, so keeping the first row that reaches a record count
+    breaks ties to the smaller order, then the smaller code.  The report is
+    byte-for-byte identical for every ``jobs`` value.
     """
     ceiling = search_max_order()
     if not 1 <= min_order <= max_order:
@@ -304,50 +259,60 @@ def search_extremal(min_order: int, max_order: int, diagnostics: bool = True, jo
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
-    worker = partial(_process_batch, emit_rows=emit_rows)
-    if jobs == 1:
-        partials = map(worker, _iter_batches(min_order, max_order))
-        merged = _merge_partials(partials, emit_rows)
-    else:
-        with multiprocessing.Pool(jobs) as pool:
-            partials = pool.imap(worker, _iter_batches(min_order, max_order))
-            merged = _merge_partials(partials, emit_rows)
+    trees = 0
+    gamma_best: dict[int, TreeRow] = {}
+    alpha_best: dict[int, TreeRow] = {}
+    mds_violations: list[tuple[str, str]] = []
+    mis_violations: list[tuple[str, str]] = []
+    order_violations: list[tuple[str, str]] = []
+    rows: list[TreeRow] | None = [] if emit_rows else None
+    batches = _iter_batches(min_order, max_order)
+    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        for batch in pool.imap(_tree_rows, batches) if pool else map(_tree_rows, batches):
+            for row in batch:
+                trees += 1
+                if not row.mds_bound_ok:
+                    mds_violations.append(
+                        (row.code, f"gamma={row.gamma} count={row.mds_count} exceeds 2.4606^gamma"))
+                if not row.mis_bound_ok:
+                    mis_violations.append(
+                        (row.code, f"alpha={row.alpha} count={row.mis_count} exceeds 2^(alpha-1)+1"))
+                elif row.mis_equality != row.is_subdivided_star:
+                    mis_violations.append(
+                        (row.code,
+                         f"alpha={row.alpha} count={row.mis_count} equality={row.mis_equality} "
+                         f"recognizer={row.is_subdivided_star}"))
+                order_bound = mis_order_bound(row.order)
+                if row.mis_count > order_bound:
+                    order_violations.append(
+                        (row.code,
+                         f"order={row.order} count={row.mis_count} exceeds order bound {order_bound}"))
+                best = gamma_best.get(row.gamma)
+                if best is None or row.mds_count > best.mds_count:
+                    gamma_best[row.gamma] = row
+                best = alpha_best.get(row.alpha)
+                if best is None or row.mis_count > best.mis_count:
+                    alpha_best[row.alpha] = row
+                if emit_rows:
+                    rows.append(row)
 
-    report = SearchReport(
+    gamma_records = {g: ExtremalRecord(g, r.mds_count, CanonicalCode.from_string(r.code), r.order)
+                     for g, r in sorted(gamma_best.items())}
+    alpha_records = {a: ExtremalRecord(a, r.mis_count, CanonicalCode.from_string(r.code), r.order)
+                     for a, r in sorted(alpha_best.items())}
+    return SearchReport(
         min_order=min_order,
         max_order=max_order,
-        trees_processed=merged.trees,
-        gamma_records={g: ExtremalRecord(g, c, CanonicalCode(lv), o)
-                       for g, (c, o, lv) in sorted(merged.gamma_records.items())},
-        alpha_records={a: ExtremalRecord(a, c, CanonicalCode(lv), o)
-                       for a, (c, o, lv) in sorted(merged.alpha_records.items())},
-        mds_bound_violations=merged.mds_violations,
-        mis_bound_violations=merged.mis_violations,
-        order_bound_violations=merged.order_violations,
-        rows=merged.rows,
+        trees_processed=trees,
+        gamma_records=gamma_records,
+        alpha_records=alpha_records,
+        mds_bound_violations=mds_violations,
+        mis_bound_violations=mis_violations,
+        order_bound_violations=order_violations,
+        diagnostics={g: extremal_diagnostics(record.witness.decode())
+                     for g, record in gamma_records.items()},
+        rows=rows,
     )
-    if diagnostics:
-        report.diagnostics = {
-            g: extremal_diagnostics(record.witness.decode())
-            for g, record in report.gamma_records.items()
-        }
-    return report
-
-
-def _merge_partials(partials, emit_rows: bool) -> _Partial:
-    merged = _Partial(0, {}, {}, [], [], [], [] if emit_rows else None)
-    for p in partials:
-        merged.trees += p.trees
-        for key, entry in p.gamma_records.items():
-            _merge_record(merged.gamma_records, key, entry)
-        for key, entry in p.alpha_records.items():
-            _merge_record(merged.alpha_records, key, entry)
-        merged.mds_violations.extend(p.mds_violations)
-        merged.mis_violations.extend(p.mis_violations)
-        merged.order_violations.extend(p.order_violations)
-        if emit_rows:
-            merged.rows.extend(p.rows)
-    return merged
 
 
 CSV_HEADER = ("order,code,gamma,mds_count,alpha,mis_count,"
@@ -371,14 +336,11 @@ def report_csv_lines(report: SearchReport) -> list[str]:
 
 
 def report_text(report: SearchReport) -> str:
-    checks = ["mds-bound", "mis-bound", "order-bound"]
-    if report.diagnostics is not None:
-        checks.append("diagnostics")
     lines = [
         "search report",
         f"orders: {report.min_order}..{report.max_order}",
         f"trees processed: {report.trees_processed}",
-        f"checks: {', '.join(checks)}",
+        "checks: mds-bound, mis-bound, order-bound, diagnostics",
         f"mds bound violations: {len(report.mds_bound_violations)}",
     ]
     lines.extend(f"  {code} {detail}" for code, detail in report.mds_bound_violations)
@@ -397,10 +359,9 @@ def report_text(report: SearchReport) -> str:
     for alpha, record in report.alpha_records.items():
         lines.append(f"  alpha={alpha} count={record.best_count} "
                      f"order={record.witness_order} code={record.witness.to_string()}")
-    if report.diagnostics is not None:
-        lines.append(f"record diagnostics (within order <= {report.max_order}):")
-        for gamma, diag in report.diagnostics.items():
-            gap = "-" if diag.max_hub_gap is None else str(diag.max_hub_gap)
-            lines.append(f"  gamma={gamma}: endvertices_covered={_fmt_bool(diag.endvertices_covered)} "
-                         f"max_hub_gap={gap}")
+    lines.append(f"record diagnostics (within order <= {report.max_order}):")
+    for gamma, diag in report.diagnostics.items():
+        gap = "-" if diag.max_hub_gap is None else str(diag.max_hub_gap)
+        lines.append(f"  gamma={gamma}: endvertices_covered={_fmt_bool(diag.endvertices_covered)} "
+                     f"max_hub_gap={gap}")
     return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ TSTAR = spider(2, 2, 4)
 def sweep_14():
     """Shared full sweep to order 14, single-threaded, with wall time."""
     start = time.perf_counter()
-    report = search_extremal(1, 14, diagnostics=False, jobs=1)
+    report = search_extremal(1, 14, jobs=1)
     elapsed = time.perf_counter() - start
     return report, elapsed
 
@@ -84,7 +84,7 @@ def test_criterion_04_mds_bound_sweep_to_order_14(sweep_14):
     assert report.trees_processed == 5447
     assert elapsed <= 600.0, f"single-threaded sweep took {elapsed:.1f} s"
     start = time.perf_counter()
-    parallel = search_extremal(1, 14, diagnostics=False, jobs=2)
+    parallel = search_extremal(1, 14, jobs=2)
     elapsed_multi = time.perf_counter() - start
     assert parallel.mds_bound_violations == []
     print(f"PASS criterion 4: zero MDS-bound violations over {report.trees_processed} trees "
@@ -156,7 +156,7 @@ def test_criterion_08_table_reproduction():
 
 
 def test_criterion_09_record_above_two_power_gamma():
-    report = search_extremal(1, 9, diagnostics=False)
+    report = search_extremal(1, 9)
     assert report.trees_processed == 95
     record = report.gamma_records[4]
     assert record.best_count == 18

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -146,7 +147,8 @@ def test_search_text(capsys):
 
 def test_search_csv_identical_across_jobs(capsys):
     code1, out1, err1 = run(capsys, "search", "--max-order", "9", "--format", "csv", "--emit-all", "--jobs", "1")
-    code2, out2, err2 = run(capsys, "search", "--max-order", "9", "--format", "csv", "--emit-all", "--jobs", "4")
+    code2, out2, err2 = run(capsys, "search", "--max-order", "9", "--format", "csv", "--emit-all",
+                            "--jobs", str(os.cpu_count()))
     assert code1 == code2 == 0
     assert out1 == out2
     assert err1 == err2
@@ -172,6 +174,19 @@ def test_malformed_forest_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "count", "--input", str(bad))
     assert code == 2
     assert "cycle" in err
+
+
+@pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+def test_search_jobs_out_of_range(capsys, jobs):
+    code, out, err = run(capsys, "search", "--max-order", "4", "--jobs", str(jobs))
+    assert (code, out) == (2, "")
+    assert "--jobs" in err
+
+
+def test_enumerate_negative_limit(capsys):
+    code, out, err = run(capsys, "enumerate", "--input", str(FIXTURE), "--limit", "-1")
+    assert (code, out) == (2, "")
+    assert "limit" in err
 
 
 def test_search_order_out_of_range(capsys):

@@ -120,6 +120,9 @@ def test_enumeration_limit(tstar):
     sets = enumerate_min_dominating_sets(tstar, limit=5)
     assert len(sets) == 5
     assert sets == enumerate_min_dominating_sets(tstar)[:5]
+    assert enumerate_min_dominating_sets(tstar, limit=0) == []
+    with pytest.raises(ValueError, match="limit"):
+        enumerate_min_dominating_sets(tstar, limit=-1)
 
 
 def test_enumeration_over_components():

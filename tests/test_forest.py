@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from domcount.forest import (
@@ -72,10 +74,26 @@ def test_build_rejects_negative_order():
 
 
 def test_adjacency_is_sorted_and_symmetric(tstar):
-    for v in range(tstar.n):
-        assert tstar.adj[v] == sorted(tstar.adj[v])
-        for w in tstar.adj[v]:
-            assert v in tstar.adj[w]
+    # A relabelled random tree, edges given high endpoint first, shuffled.
+    rng = random.Random(7)
+    label = list(range(40))
+    rng.shuffle(label)
+    edges = [(label[i], label[rng.randrange(i)]) for i in range(1, 40)]
+    edges = [(max(e), min(e)) for e in edges]
+    rng.shuffle(edges)
+    shuffled = build_forest(40, edges)
+    assert shuffled.edges == sorted((v, u) for u, v in edges)
+    for forest in (tstar, shuffled):
+        for v in range(forest.n):
+            assert forest.adj[v] == sorted(forest.adj[v])
+            for w in forest.adj[v]:
+                assert v in forest.adj[w]
+        assert sum(map(len, forest.adj)) == 2 * len(forest.edges)
+
+
+def test_duplicate_edge_reported_in_either_orientation():
+    with pytest.raises(ForestError, match=r"duplicate edge \(0, 2\)"):
+        build_forest(4, [(2, 0), (1, 3), (0, 1), (0, 2)])
 
 
 def test_classify_single_edge():
@@ -137,12 +155,9 @@ def _subtree_sizes(tree):
     return [sizes[i] for i in range(1, len(tree.order)) if tree.parent[i] == 0]
 
 
-def test_root_outside_component_rejected():
-    forest = parse_forest("n 4\n0 1")
-    with pytest.raises(ForestError):
-        root_at(forest, 2, component=0)
-    tree = root_at(forest, 2, component=1)
-    assert (tree.component, tree.order, tree.parent) == (1, [2], [-1])
+def test_root_isolated_vertex():
+    tree = root_at(parse_forest("n 4\n0 1"), 2)
+    assert (tree.order, tree.parent) == ([2], [-1])
 
 
 def test_parent_positions_precede_children(tstar):

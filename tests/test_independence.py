@@ -140,6 +140,9 @@ def test_enumeration_matches_count_small():
 def test_enumeration_limit():
     tree = subdivided_star(3)
     assert len(enumerate_max_independent_sets(tree, limit=4)) == 4
+    assert enumerate_max_independent_sets(tree, limit=0) == []
+    with pytest.raises(ValueError, match="limit"):
+        enumerate_max_independent_sets(tree, limit=-1)
 
 
 def test_guards():

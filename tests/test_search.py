@@ -147,9 +147,9 @@ def test_search_alpha_records_track_subdivided_stars():
 
 
 def test_search_no_violations_up_to_12():
-    report = search_extremal(1, 12, diagnostics=False)
+    report = search_extremal(1, 12)
     assert report.violation_count == 0
-    assert report.diagnostics is None
+    assert report.diagnostics.keys() == report.gamma_records.keys()
 
 
 def test_search_row_emission():
@@ -187,12 +187,21 @@ def test_search_ceiling_env_override(monkeypatch):
 
 
 def test_search_records_agree_with_direct_sweep():
-    report = search_extremal(1, 8)
+    # Each record's witness is the first tree, in generation order, that
+    # reaches the record count.
     from domcount.domination import count_min_dominating_sets
-    best = {}
-    for n in range(1, 9):
-        for code in generate_trees(n):
-            result = count_min_dominating_sets(code.decode())
-            incumbent = best.get(result.gamma, 0)
-            best[result.gamma] = max(incumbent, result.mds_count)
-    assert {g: r.best_count for g, r in report.gamma_records.items()} == best
+    from domcount.independence import count_max_independent_sets
+    for min_order in (1, 3):
+        report = search_extremal(min_order, 10)
+        gamma_best, alpha_best = {}, {}
+        for n in range(min_order, 11):
+            for code in generate_trees(n):
+                forest = code.decode()
+                dom = count_min_dominating_sets(forest)
+                ind = count_max_independent_sets(forest)
+                for best, key, count in ((gamma_best, dom.gamma, dom.mds_count),
+                                         (alpha_best, ind.alpha, ind.mis_count)):
+                    if key not in best or count > best[key][0]:
+                        best[key] = (count, code, n)
+        for records, best in ((report.gamma_records, gamma_best), (report.alpha_records, alpha_best)):
+            assert {k: (r.best_count, r.witness, r.witness_order) for k, r in records.items()} == best
