@@ -12,9 +12,10 @@ import os
 import sys
 
 from .domination import brute_force_domination, count_min_dominating_sets, enumerate_min_dominating_sets
-from .family import balanced_partition, build_family_tree, closed_form_count, family_tree_text, growth_trend, optimize_k
+from .family import balanced_partition, build_family_tree, closed_form_count, family_tree_text, optimize_k, trend_row
 from .forest import ForestError, parse_forest
 from .independence import brute_force_independence, count_max_independent_sets, enumerate_max_independent_sets
+from .limits import oracle_max_order
 from .search import report_csv_lines, report_text, search_extremal
 from .treegen import generate_trees
 
@@ -110,7 +111,6 @@ def _cmd_family(args) -> int:
 def _cmd_optimize_family(args) -> int:
     gammas = [int(tok) for tok in args.gamma.split(",")]
     rows = [optimize_k(g) for g in gammas]
-    trend = {t.gamma: t for t in growth_trend(gammas)} if args.trend else {}
     if args.format == "csv":
         header = "gamma,best_k,formula_value,formula_sci,table_value,table_sci"
         if args.trend:
@@ -120,7 +120,7 @@ def _cmd_optimize_family(args) -> int:
             fields = [row.gamma, row.best_k, row.formula_value, sci4(row.formula_value),
                       row.table_interpretation_value, sci4(row.table_interpretation_value)]
             if args.trend:
-                t = trend[row.gamma]
+                t = trend_row(row)
                 fields.extend([f"{t.ratio_to_reference:.4f}", f"{t.k_scaled:.4f}"])
             print(",".join(map(str, fields)))
     else:
@@ -130,7 +130,7 @@ def _cmd_optimize_family(args) -> int:
                     f"table_value={row.table_interpretation_value} "
                     f"({sci4(row.table_interpretation_value)})")
             if args.trend:
-                t = trend[row.gamma]
+                t = trend_row(row)
                 line += f" ratio_to_reference={t.ratio_to_reference:.4f} k_scaled={t.k_scaled:.4f}"
             print(line)
     return 0
@@ -155,6 +155,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    cap = oracle_max_order()
+    if not 1 <= args.max_order <= cap:
+        raise ValueError(f"--max-order must be between 1 and the brute-force cap {cap}, "
+                         f"got {args.max_order}")
     failures = 0
     total = 0
     for n in range(1, args.max_order + 1):

@@ -149,16 +149,39 @@ class TableRow:
     table_interpretation_value: int
 
 
+# A k whose float score is within this margin of the best score is decided
+# exactly.  Safe because k = 1 has P*S = 1, so the best score is at least 0:
+# a k scoring that high has 0 < ln(S) <= ln(2k) and a ln(P) of no larger
+# magnitude, so its score rounds off by about 1e-14.  That is far inside
+# the margin, so no k with the largest closed form can fall outside it.
+_RANK_MARGIN = 1e-9
+
+
 def optimize_k(gamma: int) -> TableRow:
-    """Maximize the closed form over k (exact comparison, smallest k wins ties)."""
+    """Maximize the closed form over k (exact comparison, smallest k wins ties).
+
+    With the common factor taken out, the closed form is
+    2^(gamma-1) * (1 + P*S), where over the balanced parts p_j
+    P = prod(1 - 2^-p_j) and S = sum 1/(1 - 2^-p_j).  Every k is ranked by
+    the float score ln(P*S); only the k within a margin of the best score
+    are evaluated as integers, and the integers pick the winner.
+    """
     if gamma < 2:
         raise ValueError(f"gamma must be at least 2, got {gamma}")
-    best_k = 1
-    best_value = closed_form_count(gamma, 1)
-    for k in range(2, gamma):
-        value = closed_form_count(gamma, k)
-        if value > best_value:
-            best_k, best_value = k, value
+    total = gamma - 1
+    scores = []
+    for k in range(1, gamma):
+        low, rem = divmod(total, k)
+        drop_high, drop_low = math.ldexp(1.0, -low - 1), math.ldexp(1.0, -low)
+        scores.append(math.log(rem / (1.0 - drop_high) + (k - rem) / (1.0 - drop_low))
+                      + rem * math.log1p(-drop_high) + (k - rem) * math.log1p(-drop_low))
+    cutoff = max(scores) - _RANK_MARGIN
+    best_k, best_value = 0, -1
+    for k, score in enumerate(scores, start=1):
+        if score >= cutoff:
+            value = closed_form_count(gamma, k)
+            if value > best_value:
+                best_k, best_value = k, value
     return TableRow(gamma=gamma, best_k=best_k, formula_value=best_value,
                     table_interpretation_value=best_value - (1 << (gamma - 1)))
 
@@ -218,19 +241,21 @@ class TrendRow:
     k_scaled: float
 
 
+def trend_row(row: TableRow) -> TrendRow:
+    """One table row against gamma*2^gamma/ln(gamma), and its best k against
+    gamma/ln(gamma).  Display-only floats."""
+    gamma = row.gamma
+    log_ratio = (math.log(row.formula_value) + math.log(math.log(gamma))
+                 - math.log(gamma) - gamma * math.log(2))
+    return TrendRow(
+        gamma=gamma,
+        best_k=row.best_k,
+        formula_value=row.formula_value,
+        ratio_to_reference=math.exp(log_ratio),
+        k_scaled=row.best_k * math.log(gamma) / gamma,
+    )
+
+
 def growth_trend(gammas) -> list[TrendRow]:
-    """Descriptive report: best family counts against gamma*2^gamma/ln(gamma),
-    and the optimal k against gamma/ln(gamma).  Display-only floats."""
-    rows = []
-    for gamma in gammas:
-        row = optimize_k(gamma)
-        log_ratio = (math.log(row.formula_value) + math.log(math.log(gamma))
-                     - math.log(gamma) - gamma * math.log(2))
-        rows.append(TrendRow(
-            gamma=gamma,
-            best_k=row.best_k,
-            formula_value=row.formula_value,
-            ratio_to_reference=math.exp(log_ratio),
-            k_scaled=row.best_k * math.log(gamma) / gamma,
-        ))
-    return rows
+    """Descriptive report: ``trend_row`` of the best family row per gamma."""
+    return [trend_row(optimize_k(gamma)) for gamma in gammas]

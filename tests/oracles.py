@@ -3,12 +3,16 @@
 Everything here is implemented from scratch, on purpose: labeled trees come
 from parent arrays, isomorphism keys from nested child-key tuples minimized
 over every root, and automorphism counts from center decomposition.  None
-of it shares code with the package under test.
+of it shares code with the package under test, except the exhaustive
+``optimize_k_scan``: it checks the search over k, not the closed form, so
+it evaluates the package's exact ``closed_form_count`` at every k.
 """
 
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
+
+from domcount.family import TableRow, closed_form_count
 
 
 def labeled_parent_trees(n):
@@ -104,3 +108,15 @@ def automorphism_count(n, edges):
 def labeled_tree_total(n):
     """Number of labeled trees on n vertices (n^(n-2); 1 for n = 1)."""
     return 1 if n == 1 else n ** (n - 2)
+
+
+def optimize_k_scan(gamma):
+    """Best hub count by evaluating the exact closed form at every k in
+    1..gamma-1; the first k to reach the largest value wins."""
+    best_k, best_value = 1, closed_form_count(gamma, 1)
+    for k in range(2, gamma):
+        value = closed_form_count(gamma, k)
+        if value > best_value:
+            best_k, best_value = k, value
+    return TableRow(gamma=gamma, best_k=best_k, formula_value=best_value,
+                    table_interpretation_value=best_value - (1 << (gamma - 1)))

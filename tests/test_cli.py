@@ -6,6 +6,7 @@ import pytest
 
 from domcount.cli import main, sci4
 from domcount.family import closed_form_count
+from domcount.limits import oracle_max_order
 
 FIXTURE = Path(__file__).parent / "data" / "spider224.forest"
 
@@ -160,6 +161,19 @@ def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--max-order", "6")
     assert code == 0
     assert "verify ok: orders 1..6, 14 trees" in out
+
+
+@pytest.mark.parametrize("max_order", [0, -3, oracle_max_order() + 1])
+def test_verify_max_order_out_of_range(capsys, monkeypatch, max_order):
+    import domcount.cli as cli_module
+
+    def no_trees(n):
+        raise AssertionError("verify started work on a rejected --max-order")
+
+    monkeypatch.setattr(cli_module, "generate_trees", no_trees)
+    code, out, err = run(capsys, "verify", f"--max-order={max_order}")
+    assert (code, out) == (2, "")
+    assert "--max-order" in err
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from domcount import family
 from domcount.domination import brute_force_domination, count_min_dominating_sets
 from domcount.family import (
     FamilySpec,
@@ -17,6 +18,7 @@ from domcount.family import (
 )
 from domcount.forest import parse_forest
 from domcount.independence import is_subdivided_star
+from oracles import optimize_k_scan
 
 
 def test_balanced_partition_examples():
@@ -156,6 +158,25 @@ def test_optimize_k_examples():
     assert row.formula_value == 1688
     assert row.table_interpretation_value == 1176
     assert optimize_k(2).best_k == 1
+
+
+def test_optimize_k_matches_exhaustive_scan():
+    for gamma in [*range(2, 601), 1000, 2500, 5000]:
+        assert optimize_k(gamma) == optimize_k_scan(gamma), gamma
+
+
+def test_optimize_k_evaluates_few_closed_forms(monkeypatch):
+    calls = []
+
+    def counted(gamma, k):
+        calls.append(k)
+        return closed_form_count(gamma, k)
+
+    monkeypatch.setattr(family, "closed_form_count", counted)
+    row = optimize_k(20000)
+    assert row.best_k == 1428
+    assert row.formula_value == closed_form_count(20000, 1428)
+    assert 1 <= len(calls) <= 8, calls
 
 
 def test_reduced_column_counts_root_avoiding_sets():

@@ -103,7 +103,9 @@ def test_code_string_round_trip():
     for n in range(1, 9):
         for code in generate_trees(n):
             text = code.to_string()
-            assert CanonicalCode.from_string(text) == code
+            fresh = CanonicalCode(code.levels)
+            assert CanonicalCode.from_string(text) == code == fresh
+            assert hash(code) == hash(fresh) and repr(code) == repr(fresh)
             assert text.startswith(f"c {n}")
 
 
