@@ -73,17 +73,16 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _parse_parts(text: str) -> tuple[int, ...]:
+def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"--p expects comma-separated integers, got {text!r}") from None
-    return parts
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _cmd_family(args) -> int:
     if args.p is not None:
-        parts = _parse_parts(args.p)
+        parts = _parse_ints("--p", args.p)
     elif args.gamma is not None and args.k is not None:
         parts = balanced_partition(args.gamma, args.k)
     else:
@@ -109,7 +108,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_optimize_family(args) -> int:
-    gammas = [int(tok) for tok in args.gamma.split(",")]
+    gammas = _parse_ints("--gamma", args.gamma)
     rows = [optimize_k(g) for g in gammas]
     if args.format == "csv":
         header = "gamma,best_k,formula_value,formula_sci,table_value,table_sci"

@@ -56,21 +56,45 @@ def mds_table(parent: list[int]):
     z0, c0 = [1] * m, [1] * m
     z1, c1 = [None] * m, [0] * m
     z2, c2 = [0] * m, [1] * m
+    # The (size, count) picks of _pick_min, written out.  z0 is never None,
+    # and a None size always has count 0.
     for i in range(m - 1, 0, -1):
         p = parent[i]
-        a0, n0, a1, n1 = z0[i], c0[i], z1[i], c1[i]
-        low, n_low = _pick_min(a0, n0, a1, n1)
-        best, n_best = _pick_min(low, n_low, z2[i], c2[i])
-        z0[p] += best
-        c0[p] *= n_best
-        # Before this merge z2[p] is "no child in sigma0 yet", z1[p] "at least one".
-        z_no, c_no, z_has, c_has = z2[p], c2[p], z1[p], c1[p]
-        z1[p], c1[p] = _pick_min(None if z_has is None else z_has + low, c_has * n_low,
-                                 None if z_no is None else z_no + a0, c_no * n0)
-        if z_no is None or a1 is None:
-            z2[p], c2[p] = None, 0
+        a0, n0, a1, n1, a2 = z0[i], c0[i], z1[i], c1[i], z2[i]
+        # low: the best of sigma0 and sigma1; best: of all three states.
+        if a1 is None or a0 < a1:
+            low, n_low = a0, n0
+        elif a1 < a0:
+            low, n_low = a1, n1
         else:
-            z2[p], c2[p] = z_no + a1, c_no * n1
+            low, n_low = a0, n0 + n1
+        if a2 is None or low < a2:
+            z0[p] += low
+            c0[p] *= n_low
+        elif a2 < low:
+            z0[p] += a2
+            c0[p] *= c2[i]
+        else:
+            z0[p] += low
+            c0[p] *= n_low + c2[i]
+        # Before this merge z2[p] is "no child in sigma0 yet", z1[p] "at least one".
+        z_has, z_no = z1[p], z2[p]
+        if z_has is not None:
+            z_has += low
+            c_has = c1[p] * n_low
+        if z_no is not None:
+            c_no = c2[p]
+            z_first = z_no + a0  # this child is the first one in sigma0
+            if z_has is None or z_first < z_has:
+                z_has, c_has = z_first, c_no * n0
+            elif z_first == z_has:
+                c_has += c_no * n0
+            if a1 is None:
+                z2[p], c2[p] = None, 0
+            else:
+                z2[p], c2[p] = z_no + a1, c_no * n1
+        if z_has is not None:
+            z1[p], c1[p] = z_has, c_has
     return (z0, z1, z2), (c0, c1, c2)
 
 

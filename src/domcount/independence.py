@@ -36,11 +36,19 @@ def mis_table(parent: list[int]):
     z_out, c_out = [0] * m, [1] * m
     for i in range(m - 1, 0, -1):
         p = parent[i]
-        z_in[p] += z_out[i]
+        a, b = z_in[i], z_out[i]
+        z_in[p] += b
         c_in[p] *= c_out[i]
-        best, n_best = _pick_max(z_in[i], c_in[i], z_out[i], c_out[i])
-        z_out[p] += best
-        c_out[p] *= n_best
+        # The pick of _pick_max, written out.
+        if a > b:
+            z_out[p] += a
+            c_out[p] *= c_in[i]
+        elif b > a:
+            z_out[p] += b
+            c_out[p] *= c_out[i]
+        else:
+            z_out[p] += a
+            c_out[p] *= c_in[i] + c_out[i]
     return (z_in, z_out), (c_in, c_out)
 
 

@@ -7,12 +7,23 @@ a bicentral tree the rooting is fixed by comparing the two halves obtained
 by cutting the central edge (larger half carries the root; equal-size
 halves are compared lexicographically).
 
-Generation steps through all canonical *rooted* level sequences (successor
-stepping in decreasing lexicographic order, starting from the path rooted
-at its center) and keeps exactly the sequences that are canonical for
-their free tree.  Correctness is not taken on faith: the test suite checks
-the stream against an independent labeled-tree oracle and an
-automorphism-weighted count identity.
+Generation steps through canonical *rooted* level sequences (Beyer and
+Hedetniemi's successor, in decreasing lexicographic order, starting from
+the path rooted at its center) and keeps exactly the sequences that are
+canonical for their free tree.  When a sequence is rejected, the rest of
+its block -- the sequences sharing its first subtree -- is skipped, as in
+Wright, Richmond, Odlyzko and McKay's free-tree generator: the rest of
+the tree becomes leaves under the root, the block's last sequence, and
+the successor moves on from there.  This is safe because, within a
+block, the first subtree and both sizes are fixed, and the rest of the
+tree only decreases lexicographically, so its height (the length of its
+initial run 0, 1, 2, ...) never grows.  Each rejection reason -- the rest
+is shorter than the first subtree; on equal heights, it has fewer
+vertices; on equal sizes too, it is lexicographically smaller -- therefore
+holds until the block ends.  Correctness is not taken on faith: the test
+suite checks the stream against the generator without the skip, an
+independent labeled-tree oracle, OEIS A000055 and an automorphism-weighted
+count identity.
 
 Codes carry a total order under which the stream is strictly increasing:
 smaller orders first, and within one order path-like (deep) trees before
@@ -81,39 +92,31 @@ class CanonicalCode:
         return cls(tuple(levels))
 
     def decode(self) -> Forest:
-        """Rebuild the tree, labeled 0..n-1 in canonical preorder."""
-        return build_forest(self.n, [(p, child) for child, p in enumerate(self.parents(), start=1)])
+        """Rebuild the tree, labeled 0..n-1 in canonical preorder.
+
+        Every parent precedes its child and children are appended in
+        increasing order, so each adjacency list comes out sorted, as
+        ``build_forest`` would leave it.  Levels that do not describe a
+        tree (fewer than n-1 parents) go through ``build_forest``.
+        """
+        n = self.n
+        parents = self.parents()
+        if len(parents) != n - 1:
+            return build_forest(n, [(p, child) for child, p in enumerate(parents, start=1)])
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for child, p in enumerate(parents, start=1):
+            adj[p].append(child)
+            adj[child].append(p)
+        return Forest(n=n, edges=sorted(zip(parents, range(1, n))), adj=adj,
+                      components=[list(range(n))])
 
 
-def _next_rooted(levels: list[int]) -> list[int] | None:
-    """Successor of a canonical rooted level sequence (decreasing lex)."""
-    p = len(levels) - 1
-    while p >= 0 and levels[p] <= 1:
-        p -= 1
-    if p < 0:
-        return None
-    q = p - 1
-    while levels[q] != levels[p] - 1:
-        q -= 1
-    result = list(levels)
-    for i in range(p, len(result)):
-        result[i] = result[i - (p - q)]
-    return result
+def _first_subtree_end(levels) -> int:
+    """Position just past the root's first subtree: its second child, or n.
 
-
-def _split_first_subtree(levels) -> tuple[list[int], list[int]]:
-    """Split off the first subtree of the root.
-
-    Returns (first subtree re-rooted at level 0, root + remaining subtrees).
+    ``levels[1]`` is the first child, so a second 1 marks the second child.
     """
-    m = len(levels)
-    for i in range(2, len(levels)):
-        if levels[i] == 1:
-            m = i
-            break
-    left = [levels[i] - 1 for i in range(1, m)]
-    rest = [0] + [levels[i] for i in range(m, len(levels))]
-    return left, rest
+    return levels.index(1, 2) if levels.count(1) > 1 else len(levels)
 
 
 def _is_free_canonical(levels) -> bool:
@@ -123,16 +126,15 @@ def _is_free_canonical(levels) -> bool:
     not be taller than the rest of the tree, and on equal heights the first
     subtree must not be bigger, nor lexicographically later, than the rest.
     """
-    left, rest = _split_first_subtree(levels)
-    left_height = max(left)
-    rest_height = max(rest)
-    if rest_height > left_height:
-        return True
-    if rest_height < left_height:
-        return False
-    if len(left) != len(rest):
-        return len(left) < len(rest)
-    return left <= rest
+    m = _first_subtree_end(levels)
+    left_height = max(levels[1:m]) - 1
+    rest_height = max(levels[m:], default=0)
+    if rest_height != left_height:
+        return rest_height > left_height
+    left_size, rest_size = m - 1, len(levels) - m + 1
+    if left_size != rest_size:
+        return left_size < rest_size
+    return [x - 1 for x in levels[1:m]] <= [0, *levels[m:]]
 
 
 def generate_trees(n: int) -> Iterator[CanonicalCode]:
@@ -146,11 +148,27 @@ def generate_trees(n: int) -> Iterator[CanonicalCode]:
         yield CanonicalCode((0,))
         return
     # Path rooted at its center: the largest canonical free code of order n.
-    layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while layout is not None:
-        if _is_free_canonical(layout):
-            yield CanonicalCode(tuple(layout))
-        layout = _next_rooted(layout)
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        if _is_free_canonical(levels):
+            yield CanonicalCode(tuple(levels))
+            p = n - 1
+        else:
+            # Jump to the last sequence of this first-subtree block: the
+            # rest of the tree becomes leaves under the root.
+            m = _first_subtree_end(levels)
+            levels[m:] = [1] * (n - m)
+            p = m - 1
+        # Rooted successor, in place: p is the last position deeper than 1
+        # and q its parent; from p on, the stretch q..p-1 repeats.
+        while levels[p] <= 1:
+            p -= 1
+            if p < 0:
+                return
+        q = p - 1
+        while levels[q] != levels[p] - 1:
+            q -= 1
+        levels[p:] = (levels[q:p] * ((n - q) // (p - q)))[:n - p]
 
 
 def _tree_centers(adj: dict[int, list[int]], vertices: list[int]) -> list[int]:

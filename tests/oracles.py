@@ -6,6 +6,8 @@ over every root, and automorphism counts from center decomposition.  None
 of it shares code with the package under test, except the exhaustive
 ``optimize_k_scan``: it checks the search over k, not the closed form, so
 it evaluates the package's exact ``closed_form_count`` at every k.
+``filtered_free_levels`` is the generator without the block skip: it
+tests every rooted sequence for canonicity.
 """
 
 from collections import Counter
@@ -120,3 +122,50 @@ def optimize_k_scan(gamma):
             best_k, best_value = k, value
     return TableRow(gamma=gamma, best_k=best_k, formula_value=best_value,
                     table_interpretation_value=best_value - (1 << (gamma - 1)))
+
+
+def _next_rooted(levels):
+    """Successor of a canonical rooted level sequence (decreasing lex)."""
+    p = len(levels) - 1
+    while p >= 0 and levels[p] <= 1:
+        p -= 1
+    if p < 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    result = list(levels)
+    for i in range(p, len(result)):
+        result[i] = result[i - (p - q)]
+    return result
+
+
+def _is_center_rooted(levels):
+    """The root is a center and the first subtree is not the bigger or
+    lexicographically later half: split off the first subtree, compare."""
+    m = len(levels)
+    for i in range(2, len(levels)):
+        if levels[i] == 1:
+            m = i
+            break
+    left = [levels[i] - 1 for i in range(1, m)]
+    rest = [0] + [levels[i] for i in range(m, len(levels))]
+    if max(rest) != max(left):
+        return max(rest) > max(left)
+    if len(left) != len(rest):
+        return len(left) < len(rest)
+    return left <= rest
+
+
+def filtered_free_levels(n):
+    """Free-tree level sequences of order n, by visiting every canonical
+    rooted sequence from the centrally rooted path down and keeping the
+    ones whose root is the canonical center."""
+    if n == 1:
+        yield (0,)
+        return
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        if _is_center_rooted(levels):
+            yield tuple(levels)
+        levels = _next_rooted(levels)

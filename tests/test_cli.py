@@ -215,6 +215,13 @@ def test_optimize_family_bad_gamma(capsys):
     assert "gamma" in err
 
 
+@pytest.mark.parametrize("value", ["", "5,,6", "5,x"])
+def test_optimize_family_gamma_not_integers(capsys, value):
+    code, out, err = run(capsys, "optimize-family", "--gamma", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --gamma expects comma-separated integers, got {value!r}\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

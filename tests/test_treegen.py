@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domcount.treegen as treegen_module
 from oracles import (
     automorphism_count,
     brute_force_isomorphic,
+    filtered_free_levels,
     free_key,
     iso_class_count,
     labeled_tree_total,
 )
 from strategies import labeled_trees
-from domcount.forest import build_forest, path, spider, star
+from domcount.forest import ForestError, build_forest, path, spider, star
 from domcount.treegen import CanonicalCode, canonical_code, generate_trees
 
 
@@ -32,6 +34,59 @@ def test_class_counts_match_labeled_tree_oracle():
     # bucket them by an isomorphism-complete key.
     for n in range(1, 9):
         assert sum(1 for _ in generate_trees(n)) == iso_class_count(n)
+
+
+# OEIS A000055: free trees with n unlabeled vertices, n = 1..17.
+A000055 = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320, 48629)
+
+
+def test_class_counts_match_a000055():
+    for n, expected in enumerate(A000055, start=1):
+        assert sum(1 for _ in generate_trees(n)) == expected
+
+
+def test_generator_matches_filtered_stream():
+    # Skipping rejected blocks must not change the stream: compare with the
+    # generator that tests every rooted sequence.
+    for n in range(1, 17):
+        assert [c.levels for c in generate_trees(n)] == list(filtered_free_levels(n))
+
+
+def test_generator_skips_rejected_blocks(monkeypatch):
+    # Canonicity tests made at order 16; without the block skip the
+    # generator makes one per rooted sequence, 185,032 of them.
+    calls = 0
+    test = treegen_module._is_free_canonical
+
+    def counting(levels):
+        nonlocal calls
+        calls += 1
+        return test(levels)
+
+    monkeypatch.setattr(treegen_module, "_is_free_canonical", counting)
+    assert sum(1 for _ in generate_trees(16)) == 19320
+    assert calls <= 120_000
+
+
+def forest_fields(forest):
+    return forest.n, forest.edges, forest.adj, forest.components
+
+
+def test_decode_equals_build_forest():
+    for n in range(1, 15):
+        for code in generate_trees(n):
+            edges = [(p, child) for child, p in enumerate(code.parents(), start=1)]
+            assert forest_fields(code.decode()) == forest_fields(build_forest(n, edges))
+
+
+def test_decode_of_malformed_levels_goes_through_build_forest():
+    # A second root-level entry has no parent: two isolated vertices.
+    for levels in [(0, 0), (1, 0)]:
+        assert forest_fields(CanonicalCode(levels).decode()) == forest_fields(build_forest(2, []))
+    # The parent tuple is one short, so vertex 2's parent 1 pairs with vertex 1.
+    with pytest.raises(ForestError, match="self-loop"):
+        CanonicalCode((0, 0, 1)).decode()
+    assert forest_fields(CanonicalCode(()).decode()) == forest_fields(build_forest(0, []))
 
 
 def test_generated_codes_are_distinct_and_increasing():
