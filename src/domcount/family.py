@@ -31,10 +31,7 @@ class FamilySpec:
     p: tuple[int, ...]
 
     def __post_init__(self):
-        if self.gamma < 2:
-            raise ValueError(f"gamma must be at least 2, got {self.gamma}")
-        if not 1 <= self.k <= self.gamma - 1:
-            raise ValueError(f"k must be in 1..{self.gamma - 1}, got {self.k}")
+        _check_hub_count(self.gamma, self.k)
         if len(self.p) != self.k or any(x < 1 for x in self.p):
             raise ValueError("p must hold k positive entries")
         if sum(self.p) != self.gamma - 1:
@@ -45,10 +42,16 @@ class FamilySpec:
         return cls(gamma, k, balanced_partition(gamma, k))
 
 
+def _check_hub_count(gamma: int, k: int) -> None:
+    if gamma < 2:
+        raise ValueError(f"gamma must be at least 2, got {gamma}")
+    if not 1 <= k <= gamma - 1:
+        raise ValueError(f"k must be in 1..{gamma - 1}, got {k}")
+
+
 def balanced_partition(gamma: int, k: int) -> tuple[int, ...]:
     """Split gamma-1 into k parts as equal as possible, big parts first."""
-    if gamma < 2 or not 1 <= k <= gamma - 1:
-        raise ValueError(f"k must be in 1..{gamma - 1}, got {k}")
+    _check_hub_count(gamma, k)
     total = gamma - 1
     high, rem = total // k + 1, total % k
     return tuple([high] * rem + [total // k] * (k - rem))
@@ -120,8 +123,7 @@ def closed_form_count(gamma: int, k: int) -> int:
     Three terms: 2^(gamma-1) for the sets containing the root, then one
     term per hub part size for the sets containing that hub instead.
     """
-    if gamma < 2 or not 1 <= k <= gamma - 1:
-        raise ValueError(f"k must be in 1..{gamma - 1}, got {k}")
+    _check_hub_count(gamma, k)
     total = gamma - 1
     rem = total % k
     low = total // k

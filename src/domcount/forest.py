@@ -4,9 +4,13 @@ Vertices are dense 0-based integers.  Isolated vertices are legal and form
 their own components, which is why the text format declares the vertex
 count explicitly instead of inferring it from the edge list.
 
-Rooting a component gives a flat parent array in breadth-first order, in
-which every parent comes before its children; the counting programs fold
-it from the last position to the first.
+Rooting a component gives a flat parent array in which every parent comes
+before its children; the counting programs fold it from the last position
+to the first, and rely on nothing else about the order.  Every forest keeps
+one rooting per component, made while it is built: ``build_forest`` records
+its breadth-first component search, and a decoded canonical code records
+its preorder.  ``root_at`` hands out the stored rooting and searches only
+for other roots.
 
 All structures are built once and never mutated afterwards, so they are
 safe to share across threads.
@@ -14,7 +18,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class ForestError(ValueError):
@@ -27,6 +31,8 @@ class Forest:
     edges: list[tuple[int, int]]
     adj: list[list[int]]
     components: list[list[int]]
+    # One rooting per component, keyed by its smallest vertex.
+    rooted: dict[int, RootedTree] = field(default_factory=dict, compare=False, repr=False)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -43,7 +49,9 @@ def build_forest(n: int, edges) -> Forest:
     duplicate edge shows up as two equal neighbours.  Adjacency is built
     from the sorted list: every vertex first receives its lower neighbours
     in increasing order, then its higher ones, so each list comes out
-    sorted without a per-vertex sort.
+    sorted without a per-vertex sort.  The breadth-first search that finds
+    each component starts at its smallest vertex and is kept as that
+    component's rooting.
 
     Raises ForestError on self-loops, duplicate or out-of-range edges, and
     on any cycle.
@@ -69,24 +77,18 @@ def build_forest(n: int, edges) -> Forest:
         adj[v].append(u)
 
     components: list[list[int]] = []
+    rooted: dict[int, RootedTree] = {}
     visited = [False] * n
     for start in range(n):
-        if visited[start]:
-            continue
-        visited[start] = True
-        members = [start]
-        for v in members:
-            for w in adj[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    members.append(w)
-        members.sort()
-        components.append(members)
+        if not visited[start]:
+            tree = _breadth_first(adj, start, visited)
+            components.append(sorted(tree.order))
+            rooted[start] = tree
 
     # A simple graph is acyclic exactly when |E| = n - #components.
     if len(normalized) != n - len(components):
         raise ForestError("cycle detected: edge count exceeds n - #components")
-    return Forest(n=n, edges=normalized, adj=adj, components=components)
+    return Forest(n=n, edges=normalized, adj=adj, components=components, rooted=rooted)
 
 
 def parse_forest(text: str) -> Forest:
@@ -209,11 +211,13 @@ def pendant_two_paths(forest: Forest, hub: int, away_from: int) -> list[tuple[in
 class RootedTree:
     """One tree component as a flat parent array.
 
-    ``order`` lists the component's vertices breadth-first from the root,
-    so ``order[0]`` is the root.  ``parent[i]`` is the position in
-    ``order`` of the parent of ``order[i]``, and -1 at the root.  Parents
-    precede their children, so a loop over positions from last to first
-    sees every child before its parent.
+    ``order`` lists the component's vertices with the root first: breadth
+    first for rootings from ``build_forest`` and ``root_at``, canonical
+    preorder for a decoded canonical code.  ``parent[i]`` is the position
+    in ``order`` of the parent of ``order[i]``, and -1 at the root.  The
+    one invariant is that parents precede their children, so a loop over
+    positions from last to first sees every child before its parent.
+    Rootings are shared by every caller and never mutated.
     """
     order: list[int]
     parent: list[int]
@@ -226,17 +230,30 @@ class RootedTree:
         return children
 
 
-def root_at(forest: Forest, root: int) -> RootedTree:
-    """Orient the tree component containing ``root`` away from it."""
-    if not (0 <= root < forest.n):
-        raise ForestError(f"vertex {root} outside range 0..{forest.n - 1}")
+def _breadth_first(adj: list[list[int]], root: int, visited: list[bool]) -> RootedTree:
+    """Breadth-first search from ``root`` over unvisited vertices, marking them."""
+    visited[root] = True
     order = [root]
     parent = [-1]
     # Iterating a list while appending to it visits the appended items too.
     for i, v in enumerate(order):
-        up = order[parent[i]] if i else -1
-        for w in forest.adj[v]:
-            if w != up:
+        for w in adj[v]:
+            if not visited[w]:
+                visited[w] = True
                 order.append(w)
                 parent.append(i)
     return RootedTree(order=order, parent=parent)
+
+
+def root_at(forest: Forest, root: int) -> RootedTree:
+    """Orient the tree component containing ``root`` away from it.
+
+    The rooting stored for a component's smallest vertex is returned
+    as is; any other root takes a breadth-first search.
+    """
+    tree = forest.rooted.get(root)
+    if tree is not None:
+        return tree
+    if not (0 <= root < forest.n):
+        raise ForestError(f"vertex {root} outside range 0..{forest.n - 1}")
+    return _breadth_first(forest.adj, root, [False] * forest.n)

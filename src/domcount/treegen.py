@@ -20,10 +20,21 @@ tree only decreases lexicographically, so its height (the length of its
 initial run 0, 1, 2, ...) never grows.  Each rejection reason -- the rest
 is shorter than the first subtree; on equal heights, it has fewer
 vertices; on equal sizes too, it is lexicographically smaller -- therefore
-holds until the block ends.  Correctness is not taken on faith: the test
-suite checks the stream against the generator without the skip, an
-independent labeled-tree oracle, OEIS A000055 and an automorphism-weighted
-count identity.
+holds until the block ends.
+
+A sequence whose root has a single child is a block of its own, and for
+n > 2 it is always rejected: its root is a leaf, never a center.  The
+successor of such a sequence lowers only its last level, by one, so the
+sequences that follow it down to a last level of 1 agree with it
+everywhere else; each has a single root child and is rejected too.  The
+generator therefore sets the last level to 1 at once.  That sequence is a
+valid canonical rooted sequence: the root's first subtree is the old one
+less its last vertex, still canonical, followed by a leaf, which is the
+smallest possible sibling.
+
+Correctness is not taken on faith: the test suite checks the stream
+against the generator without either skip, an independent labeled-tree
+oracle, OEIS A000055 and an automorphism-weighted count identity.
 
 Codes carry a total order under which the stream is strictly increasing:
 smaller orders first, and within one order path-like (deep) trees before
@@ -36,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Iterator
 
-from .forest import Forest, build_forest
+from .forest import Forest, RootedTree, build_forest
 
 
 @total_ordering
@@ -96,7 +107,8 @@ class CanonicalCode:
 
         Every parent precedes its child and children are appended in
         increasing order, so each adjacency list comes out sorted, as
-        ``build_forest`` would leave it.  Levels that do not describe a
+        ``build_forest`` would leave it.  The preorder itself is kept as
+        the tree's rooting at vertex 0.  Levels that do not describe a
         tree (fewer than n-1 parents) go through ``build_forest``.
         """
         n = self.n
@@ -107,8 +119,10 @@ class CanonicalCode:
         for child, p in enumerate(parents, start=1):
             adj[p].append(child)
             adj[child].append(p)
+        vertices = list(range(n))
         return Forest(n=n, edges=sorted(zip(parents, range(1, n))), adj=adj,
-                      components=[list(range(n))])
+                      components=[vertices],
+                      rooted={0: RootedTree(order=vertices, parent=[-1, *parents])})
 
 
 def _first_subtree_end(levels) -> int:
@@ -154,9 +168,14 @@ def generate_trees(n: int) -> Iterator[CanonicalCode]:
             yield CanonicalCode(tuple(levels))
             p = n - 1
         else:
+            m = _first_subtree_end(levels)
+            if m == n:
+                # A single root child: the run down to a last level of 1
+                # is rejected too, so test that sequence next.
+                levels[-1] = 1
+                continue
             # Jump to the last sequence of this first-subtree block: the
             # rest of the tree becomes leaves under the root.
-            m = _first_subtree_end(levels)
             levels[m:] = [1] * (n - m)
             p = m - 1
         # Rooted successor, in place: p is the last position deeper than 1

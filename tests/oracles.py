@@ -7,7 +7,8 @@ of it shares code with the package under test, except the exhaustive
 ``optimize_k_scan``: it checks the search over k, not the closed form, so
 it evaluates the package's exact ``closed_form_count`` at every k.
 ``filtered_free_levels`` is the generator without the block skip: it
-tests every rooted sequence for canonicity.
+tests every rooted sequence for canonicity.  ``bfs_rooting`` is the
+breadth-first rooting the counters used before every forest kept its own.
 """
 
 from collections import Counter
@@ -169,3 +170,17 @@ def filtered_free_levels(n):
         if _is_center_rooted(levels):
             yield tuple(levels)
         levels = _next_rooted(levels)
+
+
+def bfs_rooting(forest, root):
+    """(order, parent) of the component of ``root``, breadth first from it:
+    ``parent[i]`` is the position in ``order`` of the parent of ``order[i]``."""
+    order = [root]
+    parent = [-1]
+    for i, v in enumerate(order):
+        up = order[parent[i]] if i else -1
+        for w in forest.adj[v]:
+            if w != up:
+                order.append(w)
+                parent.append(i)
+    return order, parent

@@ -122,6 +122,13 @@ def test_family_requires_parameters(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("gamma", ["0", "1"])
+def test_family_gamma_below_two(capsys, gamma):
+    code, out, err = run(capsys, "family", "--gamma", gamma, "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: gamma must be at least 2, got {gamma}\n"
+
+
 def test_optimize_family_text(capsys):
     code, out, _ = run(capsys, "optimize-family", "--gamma", "10")
     assert code == 0

@@ -42,7 +42,7 @@ def test_balanced_partition_range_errors():
         balanced_partition(10, 0)
     with pytest.raises(ValueError):
         balanced_partition(10, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gamma must be at least 2, got 1$"):
         balanced_partition(1, 1)
 
 
@@ -115,6 +115,8 @@ def test_closed_form_range_errors():
         closed_form_count(10, 0)
     with pytest.raises(ValueError):
         closed_form_count(10, 10)
+    with pytest.raises(ValueError, match=r"^gamma must be at least 2, got 0$"):
+        closed_form_count(0, 1)
 
 
 def test_closed_form_matches_dp_small():

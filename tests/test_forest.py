@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from oracles import bfs_rooting
+from strategies import forests
+from domcount.domination import enumerate_min_dominating_sets, mds_table
 from domcount.forest import (
     ForestError,
     build_forest,
@@ -15,6 +19,8 @@ from domcount.forest import (
     spider,
     star,
 )
+from domcount.independence import enumerate_max_independent_sets, mis_table
+from domcount.treegen import generate_trees
 
 
 def test_parse_single_edge():
@@ -170,6 +176,63 @@ def test_parent_positions_precede_children(tstar):
         u, v = sorted((tree.order[i], tree.order[tree.parent[i]]))
         assert (u, v) in tstar.edges
     assert tree.child_positions()[0] == [i for i in range(1, len(tree.order)) if tree.parent[i] == 0]
+
+
+def assert_stored_rootings_are_bfs(forest):
+    assert sorted(forest.rooted) == [members[0] for members in forest.components]
+    for members in forest.components:
+        tree = forest.rooted[members[0]]
+        assert (tree.order, tree.parent) == bfs_rooting(forest, members[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests())
+def test_rootings_equal_bfs_oracle(forest):
+    assert_stored_rootings_are_bfs(forest)
+    for v in range(forest.n):
+        tree = root_at(forest, v)
+        assert (tree.order, tree.parent) == bfs_rooting(forest, v)
+
+
+@pytest.mark.parametrize("forest", [
+    path(1), path(2), path(50), star(0), star(30), spider(2, 2, 4), spider(1, 3, 2, 5),
+    disjoint_union(path(5), star(3), build_forest(2, []), spider(2, 1)),
+], ids=["path1", "path2", "path50", "star0", "star30", "spider224", "spider1325", "union"])
+def test_stored_rootings_of_paths_stars_spiders(forest):
+    assert_stored_rootings_are_bfs(forest)
+
+
+def root_entries(table):
+    sizes, counts = table
+    return [column[0] for column in (*sizes, *counts)]
+
+
+def test_decoded_preorder_rooting_gives_the_same_tables_and_sets():
+    # A decoded tree keeps its preorder as its rooting; the same tree built
+    # from its edges keeps the breadth-first one.
+    for n in range(1, 15):
+        for code in generate_trees(n):
+            decoded = code.decode()
+            assert decoded.rooted[0].order is decoded.components[0]
+            preorder = decoded.rooted[0].parent
+            built = build_forest(n, decoded.edges)
+            assert_stored_rootings_are_bfs(built)
+            _, parent = bfs_rooting(built, 0)
+            assert root_entries(mds_table(preorder)) == root_entries(mds_table(parent))
+            assert root_entries(mis_table(preorder)) == root_entries(mis_table(parent))
+            assert enumerate_min_dominating_sets(decoded) == enumerate_min_dominating_sets(built)
+            assert enumerate_max_independent_sets(decoded) == enumerate_max_independent_sets(built)
+
+
+def test_counting_roots_nothing(tstar):
+    # Counters and enumerators root each component at its smallest vertex;
+    # that rooting is the one stored when the forest was built.
+    parsed = parse_forest("n 9\n7 2\n2 5\n8 2\n0 6\n")
+    union = parse_forest(forest_to_text(disjoint_union(tstar, path(4), star(3), build_forest(2, []))))
+    decoded = [code.decode() for code in generate_trees(8)]
+    for forest in [parsed, union, *decoded]:
+        for members in forest.components:
+            assert root_at(forest, members[0]) is forest.rooted[members[0]]
 
 
 def test_disjoint_union_offsets(tstar):
