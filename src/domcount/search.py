@@ -12,30 +12,53 @@ sets and maximum independent sets, and checks three things per tree:
 
 Per domination number and per independence number the best count seen is
 kept with a witness (ties broken to the smaller order, then the smaller
-canonical code).  Workers map contiguous batches of the generation stream
-to per-tree rows, and the parent folds the rows in stream order.  Orders
-ascend and codes strictly increase within an order, so the first tree to
-reach a record count is the tie-break winner, and the report is identical
-for any worker count.
+canonical code).
+
+The parent process walks each order's first-subtree blocks
+(``treegen.block_starts``) and hands them out in tasks of up to
+_BLOCKS_PER_TASK block starts, all of one order.  A worker generates each
+block's trees (``treegen.block_trees``) and turns every level sequence
+straight into its row: the root's children are split at the level-1
+positions, each child's slice of the sequence keys a per-process memo of
+that subtree's root entries in ``mds_table`` and ``mis_table``, and the
+root merges the memoised records.  No ``Forest`` is built per tree; only
+the per-gamma record witnesses are decoded, for their diagnostics.
+
+The parent folds the returned rows in task order, which is stream order:
+orders ascend, blocks follow the generator, and codes strictly increase
+within an order.  So the first row to reach a record count is the
+tie-break winner whatever the worker count, and the report is identical
+for every ``jobs`` value.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domination import count_min_dominating_sets, enumerate_min_dominating_sets
+from .domination import _pick_min, enumerate_min_dominating_sets, mds_table
 from .forest import Forest, classify_vertices, pendant_two_paths
-from .independence import SpiderShape, count_max_independent_sets, is_subdivided_star
+from .independence import NOT_SUBDIVIDED_STAR, SpiderShape, _pick_max, mis_table
 from .limits import search_max_order
-from .treegen import CanonicalCode, generate_trees
+from .treegen import CanonicalCode, block_starts, block_trees
+
+# The sweep does not call these, but perfbench's traced run patches them by
+# name on this module (``SEARCH_SPANS``), so they stay importable from here.
+from .domination import count_min_dominating_sets  # noqa: F401
+from .independence import count_max_independent_sets, is_subdivided_star  # noqa: F401
+from .treegen import generate_trees  # noqa: F401
 
 # 2.4606 as an exact rational: the bound's base, truncated to the four
 # decimals used in the statement being checked.
 _BOUND_NUMERATOR = 24606
 _BOUND_DENOMINATOR = 10000
+
+# First-subtree blocks per worker task.  At order 16, 1,230 blocks make 20
+# tasks; no block holds more than 3 % of its order's trees.
+_BLOCKS_PER_TASK = 64
 
 
 @dataclass(frozen=True)
@@ -208,35 +231,123 @@ class SearchReport:
                 + len(self.order_bound_violations))
 
 
-def _tree_rows(levels_batch) -> list[TreeRow]:
-    """Count and check each tree of a batch; one row per tree, in batch order."""
+# Root entries of mds_table and mis_table for every root-child subtree a
+# sweep meets in this process, keyed by the subtree's slice of its tree's
+# level sequence (every root child sits at level 1, so slices need no
+# re-basing).  One entry per distinct subtree: 1,230 cover all of orders
+# 1..16, 5,373 all of orders 1..18.
+_SUBTREE_RECORDS: dict[tuple[int, ...], tuple] = {}
+
+
+def _subtree_record(sub: tuple[int, ...]) -> tuple:
+    """(z0, c0, z1, c1, z2, c2, z_in, c_in, z_out, c_out) at the subtree's root."""
+    parent = [-1, *CanonicalCode(tuple(x - 1 for x in sub)).parents()]
+    (z0, z1, z2), (c0, c1, c2) = mds_table(parent)
+    (z_in, z_out), (c_in, c_out) = mis_table(parent)
+    return z0[0], c0[0], z1[0], c1[0], z2[0], c2[0], z_in[0], c_in[0], z_out[0], c_out[0]
+
+
+def _level_counts(levels: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(gamma, MDS count, alpha, MIS count) of a tree given by its level
+    sequence rooted at vertex 0.
+
+    Each root child's subtree record comes from the memo, and the root
+    merges the records with the steps of ``mds_table`` and ``mis_table``.
+    """
+    z0, c0, z1, c1, z2, c2 = 1, 1, None, 0, 0, 1
+    z_in, c_in, z_out, c_out = 1, 1, 0, 1
+    s = 1
+    children = levels.count(1)
+    while children:
+        children -= 1
+        e = levels.index(1, s + 1) if children else len(levels)
+        sub = levels[s:e]
+        s = e
+        record = _SUBTREE_RECORDS.get(sub)
+        if record is None:
+            record = _SUBTREE_RECORDS[sub] = _subtree_record(sub)
+        a0, n0, a1, n1, a2, m2, a_in, n_in, a_out, n_out = record
+        if a1 is None or a0 < a1:
+            low, n_low = a0, n0
+        elif a1 < a0:
+            low, n_low = a1, n1
+        else:
+            low, n_low = a0, n0 + n1
+        if a2 is None or low < a2:
+            z0 += low
+            c0 *= n_low
+        elif a2 < low:
+            z0 += a2
+            c0 *= m2
+        else:
+            z0 += low
+            c0 *= n_low + m2
+        z_has = z1
+        if z_has is not None:
+            z_has += low
+            c_has = c1 * n_low
+        if z2 is not None:
+            z_first = z2 + a0
+            if z_has is None or z_first < z_has:
+                z_has, c_has = z_first, c2 * n0
+            elif z_first == z_has:
+                c_has += c2 * n0
+            if a1 is None:
+                z2, c2 = None, 0
+            else:
+                z2, c2 = z2 + a1, c2 * n1
+        if z_has is not None:
+            z1, c1 = z_has, c_has
+        z_in += a_out
+        c_in *= n_out
+        if a_in > a_out:
+            z_out += a_in
+            c_out *= n_in
+        elif a_out > a_in:
+            z_out += a_out
+            c_out *= n_out
+        else:
+            z_out += a_in
+            c_out *= n_in + n_out
+    gamma, mds_count = _pick_min(z0, c0, z1, c1)
+    alpha, mis_count = _pick_max(z_in, c_in, z_out, c_out)
+    return gamma, mds_count, alpha, mis_count
+
+
+def _level_spider_shape(levels: tuple[int, ...]) -> SpiderShape:
+    """``is_subdivided_star`` on a canonical level sequence: at order 2k+2
+    the only accepted code is (0,) + (1, 2)*k + (1,)."""
+    n = len(levels)
+    k = (n - 2) // 2
+    if n % 2 == 0 and levels == (0,) + (1, 2) * k + (1,):
+        return SpiderShape(True, k)
+    return NOT_SUBDIVIDED_STAR
+
+
+def _block_rows(starts) -> list[TreeRow]:
+    """Generate, count and check every tree of some first-subtree blocks;
+    one row per tree, in stream order."""
     rows = []
-    for levels in levels_batch:
-        code = CanonicalCode(levels)
-        forest = code.decode()
-        dom = count_min_dominating_sets(forest)
-        ind = count_max_independent_sets(forest)
-        shape = is_subdivided_star(forest)
-        mis_check = verify_mis_bound(ind.alpha, ind.mis_count, shape)
-        rows.append(TreeRow(
-            order=forest.n, code=code.to_string(), gamma=dom.gamma, mds_count=dom.mds_count,
-            alpha=ind.alpha, mis_count=ind.mis_count,
-            mds_bound_ok=verify_mds_bound(dom.gamma, dom.mds_count),
-            mis_bound_ok=mis_check.passed, mis_equality=mis_check.equality,
-            is_subdivided_star=shape.is_subdivided_star))
+    for start in starts:
+        for levels in block_trees(start):
+            gamma, mds_count, alpha, mis_count = _level_counts(levels)
+            shape = _level_spider_shape(levels)
+            mis_check = verify_mis_bound(alpha, mis_count, shape)
+            rows.append(TreeRow(
+                order=len(levels), code=CanonicalCode(levels).to_string(), gamma=gamma,
+                mds_count=mds_count, alpha=alpha, mis_count=mis_count,
+                mds_bound_ok=verify_mds_bound(gamma, mds_count),
+                mis_bound_ok=mis_check.passed, mis_equality=mis_check.equality,
+                is_subdivided_star=shape.is_subdivided_star))
     return rows
 
 
-def _iter_batches(min_order: int, max_order: int):
+def _tasks(min_order: int, max_order: int):
+    """Runs of up to _BLOCKS_PER_TASK block starts, each within one order."""
     for n in range(min_order, max_order + 1):
-        batch = []
-        for code in generate_trees(n):
-            batch.append(code.levels)
-            if len(batch) >= 256:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+        starts = block_starts(n)
+        while task := list(itertools.islice(starts, _BLOCKS_PER_TASK)):
+            yield task
 
 
 def search_extremal(min_order: int, max_order: int, jobs: int = 1,
@@ -244,12 +355,13 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
     """Sweep all free trees with min_order <= n <= max_order.
 
     Every tree gets the three bound checks, and every per-gamma record
-    witness gets ``extremal_diagnostics``.  Workers map batches of the
-    generation stream to rows; this function folds the rows in stream
-    order.  The stream has ascending orders and strictly increasing codes
-    within an order, so keeping the first row that reaches a record count
-    breaks ties to the smaller order, then the smaller code.  The report is
-    byte-for-byte identical for every ``jobs`` value.
+    witness gets ``extremal_diagnostics``.  Workers generate and map tasks
+    of first-subtree blocks to rows; this function folds the rows in task
+    order, which is the generation stream's order.  The stream has
+    ascending orders and strictly increasing codes within an order, so
+    keeping the first row that reaches a record count breaks ties to the
+    smaller order, then the smaller code.  The report is byte-for-byte
+    identical for every ``jobs`` value.
     """
     ceiling = search_max_order()
     if not 1 <= min_order <= max_order:
@@ -266,9 +378,9 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
     mis_violations: list[tuple[str, str]] = []
     order_violations: list[tuple[str, str]] = []
     rows: list[TreeRow] | None = [] if emit_rows else None
-    batches = _iter_batches(min_order, max_order)
+    tasks = _tasks(min_order, max_order)
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        for batch in pool.imap(_tree_rows, batches) if pool else map(_tree_rows, batches):
+        for batch in pool.imap(_block_rows, tasks) if pool else map(_block_rows, tasks):
             for row in batch:
                 trees += 1
                 if not row.mds_bound_ok:
@@ -295,6 +407,8 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
                     alpha_best[row.alpha] = row
                 if emit_rows:
                     rows.append(row)
+    # Records are cheap to rebuild; do not keep them past the sweep.
+    _SUBTREE_RECORDS.clear()
 
     gamma_records = {g: ExtremalRecord(g, r.mds_count, CanonicalCode.from_string(r.code), r.order)
                      for g, r in sorted(gamma_best.items())}

@@ -10,31 +10,40 @@ halves are compared lexicographically).
 Generation steps through canonical *rooted* level sequences (Beyer and
 Hedetniemi's successor, in decreasing lexicographic order, starting from
 the path rooted at its center) and keeps exactly the sequences that are
-canonical for their free tree.  When a sequence is rejected, the rest of
-its block -- the sequences sharing its first subtree -- is skipped, as in
-Wright, Richmond, Odlyzko and McKay's free-tree generator: the rest of
-the tree becomes leaves under the root, the block's last sequence, and
-the successor moves on from there.  This is safe because, within a
-block, the first subtree and both sizes are fixed, and the rest of the
-tree only decreases lexicographically, so its height (the length of its
-initial run 0, 1, 2, ...) never grows.  Each rejection reason -- the rest
-is shorter than the first subtree; on equal heights, it has fewer
+canonical for their free tree.  The stream is cut into first-subtree
+blocks, as in Wright, Richmond, Odlyzko and McKay's free-tree generator: a
+block is the run of sequences that share their root's first subtree.
+Within a block the first subtree and both sizes are fixed, and the rest of
+the tree only decreases lexicographically, so its height (the length of
+its initial run 0, 1, 2, ...) never grows.  Each rejection reason -- the
+rest is shorter than the first subtree; on equal heights, it has fewer
 vertices; on equal sizes too, it is lexicographically smaller -- therefore
-holds until the block ends.
+holds until the block ends, and the accepted sequences of a block are a
+prefix of it.
+
+Generation is split in two steps, and ``generate_trees`` is their
+composition.  ``block_starts`` visits each block once: it tests the
+block's first sequence, yields it if accepted, and jumps to the block's
+last sequence, where the rest of the tree is all leaves under the root;
+the successor moves on from there.  ``block_trees`` steps from an accepted
+start while each sequence is accepted and the successor keeps the first
+subtree.  The exhaustive sweep runs the first step in its parent process
+and the second in its workers.
 
 A sequence whose root has a single child is a block of its own, and for
-n > 2 it is always rejected: its root is a leaf, never a center.  The
-successor of such a sequence lowers only its last level, by one, so the
-sequences that follow it down to a last level of 1 agree with it
-everywhere else; each has a single root child and is rejected too.  The
-generator therefore sets the last level to 1 at once.  That sequence is a
-valid canonical rooted sequence: the root's first subtree is the old one
-less its last vertex, still canonical, followed by a leaf, which is the
-smallest possible sibling.
+n > 2 it is always rejected: its root is a leaf, never a center.  So
+``block_starts`` never tests one.  The successor of such a sequence lowers
+only its last level, by one, so the sequences that follow it down to a
+last level of 1 agree with it everywhere else; each has a single root
+child too.  The walk therefore sets the last level to 1 at once.  That
+sequence is a valid canonical rooted sequence: the root's first subtree is
+the old one less its last vertex, still canonical, followed by a leaf,
+which is the smallest possible sibling and the whole rest of its block.
 
-Correctness is not taken on faith: the test suite checks the stream
-against the generator without either skip, an independent labeled-tree
-oracle, OEIS A000055 and an automorphism-weighted count identity.
+Correctness is not taken on faith: the test suite checks the stream, and
+the concatenated block slices, against the generator without either skip,
+an independent labeled-tree oracle, OEIS A000055 and an
+automorphism-weighted count identity.
 
 Codes carry a total order under which the stream is strictly increasing:
 smaller orders first, and within one order path-like (deep) trees before
@@ -133,14 +142,14 @@ def _first_subtree_end(levels) -> int:
     return levels.index(1, 2) if levels.count(1) > 1 else len(levels)
 
 
-def _is_free_canonical(levels) -> bool:
+def _is_free_canonical(levels, m: int) -> bool:
     """Is this rooted sequence the canonical representative of its free tree?
 
-    The root must be a center: the first (tallest) subtree, re-rooted, may
-    not be taller than the rest of the tree, and on equal heights the first
-    subtree must not be bigger, nor lexicographically later, than the rest.
+    ``m`` is ``_first_subtree_end(levels)``.  The root must be a center:
+    the first (tallest) subtree, re-rooted, may not be taller than the rest
+    of the tree, and on equal heights the first subtree must not be bigger,
+    nor lexicographically later, than the rest.
     """
-    m = _first_subtree_end(levels)
     left_height = max(levels[1:m]) - 1
     rest_height = max(levels[m:], default=0)
     if rest_height != left_height:
@@ -151,43 +160,77 @@ def _is_free_canonical(levels) -> bool:
     return [x - 1 for x in levels[1:m]] <= [0, *levels[m:]]
 
 
+def block_starts(n: int) -> Iterator[tuple[int, ...]]:
+    """First sequence of every first-subtree block of order n that holds a
+    free tree, in stream order.
+
+    Each block is visited once: its first sequence is tested, then the
+    walk jumps to the block's end.  Sequences whose root has a single child
+    are skipped untested.
+    """
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
+    if n <= 2:
+        yield tuple(range(n))
+        return
+    # Path rooted at its center: the largest canonical free code of order n.
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = _first_subtree_end(levels)
+        if m == n:
+            # A single root child: the run down to a last level of 1 is
+            # rejected, and that sequence starts a block of its own.
+            levels[-1] = 1
+            m = n - 1
+        if _is_free_canonical(levels, m):
+            yield tuple(levels)
+        # Jump to the last sequence of this block: the rest of the tree
+        # becomes leaves under the root.
+        levels[m:] = [1] * (n - m)
+        if not _rooted_successor(levels, m - 1, 0):
+            return
+
+
+def block_trees(start: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The free trees of the block that ``block_starts`` gave as ``start``.
+
+    Steps from the start while each sequence is accepted and the successor
+    keeps the first subtree, i.e. changes no position before its end.
+    """
+    levels = list(start)
+    m = _first_subtree_end(levels)
+    yield start
+    while _rooted_successor(levels, len(levels) - 1, m) and _is_free_canonical(levels, m):
+        yield tuple(levels)
+
+
+def _rooted_successor(levels: list[int], p: int, low: int) -> bool:
+    """Step ``levels`` to its rooted successor, in place, if that changes no
+    position below ``low``; say whether it did.
+
+    p is the last position deeper than 1 at or before the given one, and q
+    its parent; from p on, the stretch q..p-1 repeats.
+    """
+    while p >= low and levels[p] <= 1:
+        p -= 1
+    if p < low:
+        return False
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    n = len(levels)
+    levels[p:] = (levels[q:p] * ((n - q) // (p - q)))[:n - p]
+    return True
+
+
 def generate_trees(n: int) -> Iterator[CanonicalCode]:
     """Yield one CanonicalCode per isomorphism class of free trees of order n.
 
     The stream is deterministic and strictly increasing in code order.
     """
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-    if n == 1:
-        yield CanonicalCode((0,))
-        return
-    # Path rooted at its center: the largest canonical free code of order n.
-    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while True:
-        if _is_free_canonical(levels):
-            yield CanonicalCode(tuple(levels))
-            p = n - 1
-        else:
-            m = _first_subtree_end(levels)
-            if m == n:
-                # A single root child: the run down to a last level of 1
-                # is rejected too, so test that sequence next.
-                levels[-1] = 1
-                continue
-            # Jump to the last sequence of this first-subtree block: the
-            # rest of the tree becomes leaves under the root.
-            levels[m:] = [1] * (n - m)
-            p = m - 1
-        # Rooted successor, in place: p is the last position deeper than 1
-        # and q its parent; from p on, the stretch q..p-1 repeats.
-        while levels[p] <= 1:
-            p -= 1
-            if p < 0:
-                return
-        q = p - 1
-        while levels[q] != levels[p] - 1:
-            q -= 1
-        levels[p:] = (levels[q:p] * ((n - q) // (p - q)))[:n - p]
+    for start in block_starts(n):
+        for levels in block_trees(start):
+            yield CanonicalCode(levels)
 
 
 def _tree_centers(adj: dict[int, list[int]], vertices: list[int]) -> list[int]:

@@ -3,9 +3,12 @@
 Everything here is implemented from scratch, on purpose: labeled trees come
 from parent arrays, isomorphism keys from nested child-key tuples minimized
 over every root, and automorphism counts from center decomposition.  None
-of it shares code with the package under test, except the exhaustive
-``optimize_k_scan``: it checks the search over k, not the closed form, so
-it evaluates the package's exact ``closed_form_count`` at every k.
+of it shares code with the package under test, except two references
+for faster paths: the exhaustive ``optimize_k_scan`` checks the search over
+k, not the closed form, so it evaluates the package's exact
+``closed_form_count`` at every k; ``forest_tree_rows`` is the sweep's
+per-tree map as it was before the level-sequence kernel, one decoded
+``Forest`` and the public counters per tree.
 ``filtered_free_levels`` is the generator without the block skip: it
 tests every rooted sequence for canonicity.  ``bfs_rooting`` is the
 breadth-first rooting the counters used before every forest kept its own.
@@ -15,7 +18,11 @@ from collections import Counter
 from itertools import permutations, product
 from math import factorial
 
+from domcount.domination import count_min_dominating_sets
 from domcount.family import TableRow, closed_form_count
+from domcount.independence import count_max_independent_sets, is_subdivided_star
+from domcount.search import TreeRow, verify_mds_bound, verify_mis_bound
+from domcount.treegen import CanonicalCode
 
 
 def labeled_parent_trees(n):
@@ -184,3 +191,22 @@ def bfs_rooting(forest, root):
                 order.append(w)
                 parent.append(i)
     return order, parent
+
+
+def forest_tree_rows(levels_batch):
+    """Count and check each tree of a batch; one row per tree, in batch order."""
+    rows = []
+    for levels in levels_batch:
+        code = CanonicalCode(levels)
+        forest = code.decode()
+        dom = count_min_dominating_sets(forest)
+        ind = count_max_independent_sets(forest)
+        shape = is_subdivided_star(forest)
+        mis_check = verify_mis_bound(ind.alpha, ind.mis_count, shape)
+        rows.append(TreeRow(
+            order=forest.n, code=code.to_string(), gamma=dom.gamma, mds_count=dom.mds_count,
+            alpha=ind.alpha, mis_count=ind.mis_count,
+            mds_bound_ok=verify_mds_bound(dom.gamma, dom.mds_count),
+            mis_bound_ok=mis_check.passed, mis_equality=mis_check.equality,
+            is_subdivided_star=shape.is_subdivided_star))
+    return rows

@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from domcount.domination import count_min_dominating_sets
 from domcount.family import build_family_tree
-from domcount.forest import path, spider
-from domcount.independence import SpiderShape, is_subdivided_star
+from domcount.forest import build_forest, path, spider
+from domcount.independence import SpiderShape, count_max_independent_sets, is_subdivided_star
 from domcount.search import (
+    _block_rows,
+    _level_counts,
+    _level_spider_shape,
     compute_growth_base,
     extremal_diagnostics,
     mis_order_bound,
@@ -15,7 +20,8 @@ from domcount.search import (
     verify_mds_bound,
     verify_mis_bound,
 )
-from domcount.treegen import generate_trees
+from domcount.treegen import block_starts, canonical_code, generate_trees
+from oracles import forest_tree_rows
 
 
 def cubic(x):
@@ -162,10 +168,49 @@ def test_search_row_emission():
 
 
 def test_search_deterministic_across_workers():
-    solo = search_extremal(1, 9, jobs=1, emit_rows=True)
-    multi = search_extremal(1, 9, jobs=2, emit_rows=True)
+    # Order 14 has 303 first-subtree blocks, so it spans several worker tasks.
+    assert sum(1 for _ in block_starts(14)) == 303
+    solo = search_extremal(1, 14, jobs=1, emit_rows=True)
+    multi = search_extremal(1, 14, jobs=2, emit_rows=True)
     assert report_text(solo) == report_text(multi)
     assert report_csv_lines(solo) == report_csv_lines(multi)
+
+
+def test_kernel_rows_match_forest_oracle():
+    # The level-sequence kernel against one decoded Forest and the public
+    # counters and recognizer per tree.
+    for n in range(1, 17):
+        levels = [code.levels for code in generate_trees(n)]
+        assert _block_rows(list(block_starts(n))) == forest_tree_rows(levels), n
+
+
+def random_tree(rng):
+    """A random recursive tree or, one time in four, a spider with legs of
+    length 1 to 3, its vertices shuffled; up to 60 vertices."""
+    if rng.random() < 0.25:
+        base = spider(*(rng.choice((1, 2, 2, 2, 3)) for _ in range(rng.randint(1, 12))))
+        n, edges = base.n, base.edges
+    else:
+        n = rng.randint(1, 60)
+        edges = [(rng.randrange(child), child) for child in range(1, n)]
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return build_forest(n, [(labels[u], labels[v]) for u, v in edges])
+
+
+def test_kernel_matches_counters_on_random_trees():
+    rng = random.Random(20180)
+    stars = 0
+    for _ in range(3000):
+        forest = random_tree(rng)
+        levels = canonical_code(forest).levels
+        dom = count_min_dominating_sets(forest)
+        ind = count_max_independent_sets(forest)
+        assert _level_counts(levels) == (dom.gamma, dom.mds_count, ind.alpha, ind.mis_count)
+        shape = is_subdivided_star(forest)
+        assert _level_spider_shape(levels) == shape
+        stars += shape.is_subdivided_star
+    assert stars >= 50
 
 
 def test_search_parameter_validation():

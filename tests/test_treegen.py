@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -15,7 +16,15 @@ from oracles import (
 )
 from strategies import labeled_trees
 from domcount.forest import ForestError, build_forest, path, spider, star
-from domcount.treegen import CanonicalCode, canonical_code, generate_trees
+from domcount.treegen import (
+    CanonicalCode,
+    block_starts,
+    block_trees,
+    canonical_code,
+    generate_trees,
+)
+
+filtered_stream = functools.cache(lambda n: list(filtered_free_levels(n)))
 
 
 def test_order_one():
@@ -49,24 +58,44 @@ def test_generator_matches_filtered_stream():
     # Skipping rejected blocks must not change the stream: compare with the
     # generator that tests every rooted sequence.
     for n in range(1, 17):
-        assert [c.levels for c in generate_trees(n)] == list(filtered_free_levels(n))
+        assert [c.levels for c in generate_trees(n)] == filtered_stream(n)
+
+
+def first_subtree(levels):
+    return levels[:levels.index(1, 2)] if levels.count(1) > 1 else levels
+
+
+def test_block_slices_concatenate_to_stream():
+    # Workers generate one first-subtree block each from its start: the
+    # slices, in block order, must be the whole stream, and each slice one
+    # block that no other slice shares.
+    for n in range(1, 18):
+        blocks = [list(block_trees(start)) for start in block_starts(n)]
+        stream = [levels for block in blocks for levels in block]
+        assert stream == filtered_stream(n)
+        assert stream == [c.levels for c in generate_trees(n)]
+        heads = [first_subtree(block[0]) for block in blocks]
+        assert len(set(heads)) == len(heads)
+        for head, block in zip(heads, blocks):
+            assert {first_subtree(levels) for levels in block} == {head}
 
 
 def test_generator_skips_rejected_blocks(monkeypatch):
-    # Canonicity tests made at order 16; without the block skip and the
+    # Canonicity tests made at order 16: one per first-subtree block and one
+    # per further tree of an accepted block.  Without the block skip and the
     # single-root-child jump the generator makes one per rooted sequence,
     # 185,032 of them.
     calls = 0
     test = treegen_module._is_free_canonical
 
-    def counting(levels):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return test(levels)
+        return test(*args)
 
     monkeypatch.setattr(treegen_module, "_is_free_canonical", counting)
     assert sum(1 for _ in generate_trees(16)) == 19320
-    assert calls <= 84_000
+    assert calls <= 59_805
 
 
 def forest_fields(forest):
