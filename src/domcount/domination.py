@@ -2,22 +2,25 @@
 
 Each tree component is rooted into a flat parent array (``root_at``) and
 folded from its last position to its first, so a vertex is complete
-before it is merged into its parent.  Per position the fold keeps, as
-plain integers, the minimum size and the exact number of sets of that
-size for three states:
+before it is merged into its parent.  Per position the fold keeps a
+record of plain integers, (z0, c0, z1, c1, z2, c2): the minimum size and
+the exact number of sets of that size for three states:
 
   sigma0 -- the vertex is in the dominating set,
   sigma1 -- the vertex is out but dominated by one of its children,
   sigma2 -- the vertex is out and not yet dominated (its parent must be in).
 
-Merging a child adds sizes and multiplies counts; alternatives keep the
-smaller size and add counts on ties.  An infeasible state has size None
-and count 0.  sigma1 needs at least one child in sigma0: while children
-are merged, sigma2 doubles as the running "no child in sigma0 yet" record
-and sigma1 as the "at least one" record.  The constraint is not recovered
-by subtracting unconstrained counts, because the constrained minimum can
-be strictly larger than the unconstrained one and subtraction would lose
-those sets.
+``_mds_merge`` merges one child's record into its parent's; the fold and
+the exhaustive sweep's kernel (``search._level_counts``) both call it, so
+the recurrence is written once.  The merged result does not depend on the
+order children arrive in.  Merging a child adds sizes and multiplies
+counts; alternatives keep the smaller size and add counts on ties.  An
+infeasible state has size None and count 0.  sigma1 needs at least one
+child in sigma0: while children are merged, sigma2 doubles as the running
+"no child in sigma0 yet" record and sigma1 as the "at least one" record.
+The constraint is not recovered by subtracting unconstrained counts,
+because the constrained minimum can be strictly larger than the
+unconstrained one and subtraction would lose those sets.
 
 Enumeration walks the same tables.  It splits the sigma1 sets of a vertex
 by their first child in sigma0: the children before it are in sigma1, the
@@ -45,57 +48,60 @@ def _pick_min(za, ca, zb, cb):
     return za, ca + cb
 
 
-def mds_table(parent: list[int]):
-    """Sizes and counts of every state at every position of a rooted tree.
+# (z0, c0, z1, c1, z2, c2) of a vertex before any child is merged.
+MDS_LEAF = (1, 1, None, 0, 0, 1)
 
-    ``parent`` is ``RootedTree.parent``.  Returns ``(sizes, counts)``, each
-    a triple of lists indexed by state (sigma0, sigma1, sigma2) and then by
-    position.
+
+def _mds_merge(acc, child):
+    """The record of ``acc``'s vertex once the subtree whose root record is
+    ``child`` hangs from it; records are (z0, c0, z1, c1, z2, c2).
+
+    The (size, count) picks of _pick_min are written out.  z0 is never
+    None, and a None size always has count 0.
     """
-    m = len(parent)
-    z0, c0 = [1] * m, [1] * m
-    z1, c1 = [None] * m, [0] * m
-    z2, c2 = [0] * m, [1] * m
-    # The (size, count) picks of _pick_min, written out.  z0 is never None,
-    # and a None size always has count 0.
-    for i in range(m - 1, 0, -1):
+    z0, c0, z1, c1, z2, c2 = acc
+    a0, n0, a1, n1, a2, m2 = child
+    # low: the best of the child's sigma0 and sigma1; then the best of all three.
+    if a1 is None or a0 < a1:
+        low, n_low = a0, n0
+    elif a1 < a0:
+        low, n_low = a1, n1
+    else:
+        low, n_low = a0, n0 + n1
+    if a2 is None or low < a2:
+        z0, c0 = z0 + low, c0 * n_low
+    elif a2 < low:
+        z0, c0 = z0 + a2, c0 * m2
+    else:
+        z0, c0 = z0 + low, c0 * (n_low + m2)
+    # Before this merge z2 is "no child in sigma0 yet", z1 "at least one".
+    z_has = z1
+    if z_has is not None:
+        z_has += low
+        c_has = c1 * n_low
+    if z2 is not None:
+        z_first = z2 + a0  # this child is the first one in sigma0
+        if z_has is None or z_first < z_has:
+            z_has, c_has = z_first, c2 * n0
+        elif z_first == z_has:
+            c_has += c2 * n0
+        if a1 is None:
+            z2, c2 = None, 0
+        else:
+            z2, c2 = z2 + a1, c2 * n1
+    if z_has is not None:
+        z1, c1 = z_has, c_has
+    return z0, c0, z1, c1, z2, c2
+
+
+def mds_table(parent: list[int]) -> list[tuple]:
+    """The (z0, c0, z1, c1, z2, c2) record of every position of a rooted
+    tree; ``parent`` is ``RootedTree.parent``."""
+    records = [MDS_LEAF] * len(parent)
+    for i in range(len(parent) - 1, 0, -1):
         p = parent[i]
-        a0, n0, a1, n1, a2 = z0[i], c0[i], z1[i], c1[i], z2[i]
-        # low: the best of sigma0 and sigma1; best: of all three states.
-        if a1 is None or a0 < a1:
-            low, n_low = a0, n0
-        elif a1 < a0:
-            low, n_low = a1, n1
-        else:
-            low, n_low = a0, n0 + n1
-        if a2 is None or low < a2:
-            z0[p] += low
-            c0[p] *= n_low
-        elif a2 < low:
-            z0[p] += a2
-            c0[p] *= c2[i]
-        else:
-            z0[p] += low
-            c0[p] *= n_low + c2[i]
-        # Before this merge z2[p] is "no child in sigma0 yet", z1[p] "at least one".
-        z_has, z_no = z1[p], z2[p]
-        if z_has is not None:
-            z_has += low
-            c_has = c1[p] * n_low
-        if z_no is not None:
-            c_no = c2[p]
-            z_first = z_no + a0  # this child is the first one in sigma0
-            if z_has is None or z_first < z_has:
-                z_has, c_has = z_first, c_no * n0
-            elif z_first == z_has:
-                c_has += c_no * n0
-            if a1 is None:
-                z2[p], c2[p] = None, 0
-            else:
-                z2[p], c2[p] = z_no + a1, c_no * n1
-        if z_has is not None:
-            z1[p], c1[p] = z_has, c_has
-    return (z0, z1, z2), (c0, c1, c2)
+        records[p] = _mds_merge(records[p], records[i])
+    return records
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,8 @@ def count_min_dominating_sets(forest: Forest) -> DomResult:
     gamma = 0
     count = 1
     for members in forest.components:
-        (z0, z1, _), (c0, c1, _) = mds_table(root_at(forest, members[0]).parent)
-        size, number = _pick_min(z0[0], c0[0], z1[0], c1[0])
+        z0, c0, z1, c1, _, _ = mds_table(root_at(forest, members[0]).parent)[0]
+        size, number = _pick_min(z0, c0, z1, c1)
         gamma += size
         count *= number
     return DomResult(gamma, count)
@@ -136,8 +142,8 @@ def _component_sets(tree: RootedTree) -> list[frozenset[int]]:
     the work is polynomial in component size times the number of sets.
     """
     order = tree.order
-    sizes, _ = mds_table(tree.parent)
-    z0, z1, _ = sizes
+    z0, _, z1, _, z2, _ = zip(*mds_table(tree.parent))
+    sizes = (z0, z1, z2)
     children = tree.child_positions()
     memo: dict[tuple[int, int], list[frozenset[int]]] = {}
 
@@ -174,12 +180,13 @@ def _component_sets(tree: RootedTree) -> list[frozenset[int]]:
     return optimal(0, (0, 1))
 
 
-def enumerate_min_dominating_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
-    """All minimum dominating sets, ordered by their sorted vertex lists.
+def _enumerate_sets(forest: Forest, component_sets, limit: int | None) -> list[frozenset[int]]:
+    """Every union of one set per component, ordered by sorted vertex
+    lists and truncated to ``limit`` entries when given.
 
-    Truncated to ``limit`` entries when given; a negative ``limit`` is
-    rejected.  Guarded by the oracle order cap since output size can grow
-    exponentially.
+    ``component_sets`` lists the sets of one rooted component.  A negative
+    ``limit`` is rejected, and so is a forest above the oracle order cap,
+    since output size can grow exponentially.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
@@ -188,12 +195,18 @@ def enumerate_min_dominating_sets(forest: Forest, limit: int | None = None) -> l
         raise ValueError(f"enumeration capped at order {guard}, got {forest.n}")
     combined = [frozenset()]
     for members in forest.components:
-        here = _component_sets(root_at(forest, members[0]))
+        here = component_sets(root_at(forest, members[0]))
         combined = [acc | s for acc in combined for s in here]
     combined.sort(key=lambda s: tuple(sorted(s)))
     if limit is not None:
         combined = combined[:limit]
     return combined
+
+
+def enumerate_min_dominating_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
+    """All minimum dominating sets, ordered by their sorted vertex lists and
+    truncated to ``limit`` entries when given (see ``_enumerate_sets``)."""
+    return _enumerate_sets(forest, _component_sets, limit)
 
 
 def brute_force_domination(forest: Forest) -> DomResult:

@@ -2,7 +2,9 @@
 
 Mirrors the domination counter with a two-state (max, count) fold over the
 same flat rooting: per vertex either IN (in the independent set, children
-must be OUT) or OUT (children free).  Also ships the structural recognizer
+must be OUT) or OUT (children free).  ``_mis_merge`` merges one child's
+(z_in, c_in, z_out, c_out) record into its parent's, for the fold and for
+the exhaustive sweep's kernel alike.  Also ships the structural recognizer
 for the trees that meet the 2^(alpha-1)+1 count with equality: a star with
 all but one edge subdivided once.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .domination import _enumerate_sets, _joins
 from .forest import Forest, RootedTree, root_at
 from .limits import oracle_max_order
 
@@ -25,31 +28,31 @@ def _pick_max(za, ca, zb, cb):
     return za, ca + cb
 
 
-def mis_table(parent: list[int]):
-    """Sizes and counts of both states at every position of a rooted tree.
+# (z_in, c_in, z_out, c_out) of a vertex before any child is merged.
+MIS_LEAF = (1, 1, 0, 1)
 
-    ``parent`` is ``RootedTree.parent``.  Returns ``(sizes, counts)``, each
-    a pair of lists indexed by state (IN, OUT) and then by position.
-    """
-    m = len(parent)
-    z_in, c_in = [1] * m, [1] * m
-    z_out, c_out = [0] * m, [1] * m
-    for i in range(m - 1, 0, -1):
+
+def _mis_merge(acc, child):
+    """The record of ``acc``'s vertex once the subtree whose root record is
+    ``child`` hangs from it; records are (z_in, c_in, z_out, c_out).  The
+    child's OUT state joins IN; the pick of _pick_max joins OUT."""
+    z_in, c_in, z_out, c_out = acc
+    a, n_a, b, n_b = child
+    if a > b:
+        return z_in + b, c_in * n_b, z_out + a, c_out * n_a
+    if b > a:
+        return z_in + b, c_in * n_b, z_out + b, c_out * n_b
+    return z_in + b, c_in * n_b, z_out + a, c_out * (n_a + n_b)
+
+
+def mis_table(parent: list[int]) -> list[tuple]:
+    """The (z_in, c_in, z_out, c_out) record of every position of a rooted
+    tree; ``parent`` is ``RootedTree.parent``."""
+    records = [MIS_LEAF] * len(parent)
+    for i in range(len(parent) - 1, 0, -1):
         p = parent[i]
-        a, b = z_in[i], z_out[i]
-        z_in[p] += b
-        c_in[p] *= c_out[i]
-        # The pick of _pick_max, written out.
-        if a > b:
-            z_out[p] += a
-            c_out[p] *= c_in[i]
-        elif b > a:
-            z_out[p] += b
-            c_out[p] *= c_out[i]
-        else:
-            z_out[p] += a
-            c_out[p] *= c_in[i] + c_out[i]
-    return (z_in, z_out), (c_in, c_out)
+        records[p] = _mis_merge(records[p], records[i])
+    return records
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,8 @@ def count_max_independent_sets(forest: Forest) -> IndResult:
     alpha = 0
     count = 1
     for members in forest.components:
-        (z_in, z_out), (c_in, c_out) = mis_table(root_at(forest, members[0]).parent)
-        size, number = _pick_max(z_in[0], c_in[0], z_out[0], c_out[0])
+        z_in, c_in, z_out, c_out = mis_table(root_at(forest, members[0]).parent)[0]
+        size, number = _pick_max(z_in, c_in, z_out, c_out)
         alpha += size
         count *= number
     return IndResult(alpha, count)
@@ -78,7 +81,7 @@ def count_max_independent_sets(forest: Forest) -> IndResult:
 def _component_sets(tree: RootedTree) -> list[frozenset[int]]:
     """All maximum independent sets of one component, DP-guided."""
     order = tree.order
-    (z_in, z_out), _ = mis_table(tree.parent)
+    z_in, _, z_out, _ = zip(*mis_table(tree.parent))
     children = tree.child_positions()
     memo: dict[tuple[int, bool], list[frozenset[int]]] = {}
 
@@ -91,36 +94,18 @@ def _component_sets(tree: RootedTree) -> list[frozenset[int]]:
         key = (i, in_set)
         if key not in memo:
             if in_set:
-                base = {order[i]}
-                options = [sets(c, False) for c in children[i]]
+                memo[key] = _joins({order[i]}, [sets(c, False) for c in children[i]])
             else:
-                base = ()
-                options = [optimal(c) for c in children[i]]
-            memo[key] = [frozenset(base).union(*parts) for parts in itertools.product(*options)]
+                memo[key] = _joins((), [optimal(c) for c in children[i]])
         return memo[key]
 
     return optimal(0)
 
 
 def enumerate_max_independent_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
-    """All maximum independent sets, ordered by their sorted vertex lists.
-
-    Truncated to ``limit`` entries when given; a negative ``limit`` is
-    rejected.
-    """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
-    guard = oracle_max_order()
-    if forest.n > guard:
-        raise ValueError(f"enumeration capped at order {guard}, got {forest.n}")
-    combined = [frozenset()]
-    for members in forest.components:
-        here = _component_sets(root_at(forest, members[0]))
-        combined = [acc | s for acc in combined for s in here]
-    combined.sort(key=lambda s: tuple(sorted(s)))
-    if limit is not None:
-        combined = combined[:limit]
-    return combined
+    """All maximum independent sets, ordered by their sorted vertex lists and
+    truncated to ``limit`` entries when given (see ``_enumerate_sets``)."""
+    return _enumerate_sets(forest, _component_sets, limit)
 
 
 def brute_force_independence(forest: Forest) -> IndResult:

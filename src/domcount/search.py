@@ -20,9 +20,11 @@ _BLOCKS_PER_TASK block starts, all of one order.  A worker generates each
 block's trees (``treegen.block_trees``) and turns every level sequence
 straight into its row: the root's children are split at the level-1
 positions, each child's slice of the sequence keys a per-process memo of
-that subtree's root entries in ``mds_table`` and ``mis_table``, and the
-root merges the memoised records.  No ``Forest`` is built per tree; only
-the per-gamma record witnesses are decoded, for their diagnostics.
+that subtree's root records in ``mds_table`` and ``mis_table``, and the
+root merges the memoised records with the same ``_mds_merge`` and
+``_mis_merge`` the tables are folded with.  No ``Forest`` is built per
+tree; only the per-gamma record witnesses are decoded, for their
+diagnostics.
 
 The parent folds the returned rows in task order, which is stream order:
 orders ascend, blocks follow the generator, and codes strictly increase
@@ -34,14 +36,15 @@ for every ``jobs`` value.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domination import _pick_min, enumerate_min_dominating_sets, mds_table
+from .domination import MDS_LEAF, _mds_merge, _pick_min, enumerate_min_dominating_sets, mds_table
 from .forest import Forest, classify_vertices, pendant_two_paths
-from .independence import NOT_SUBDIVIDED_STAR, SpiderShape, _pick_max, mis_table
+from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_merge, _pick_max, mis_table
 from .limits import search_max_order
 from .treegen import CanonicalCode, block_starts, block_trees
 
@@ -231,87 +234,36 @@ class SearchReport:
                 + len(self.order_bound_violations))
 
 
-# Root entries of mds_table and mis_table for every root-child subtree a
-# sweep meets in this process, keyed by the subtree's slice of its tree's
-# level sequence (every root child sits at level 1, so slices need no
-# re-basing).  One entry per distinct subtree: 1,230 cover all of orders
-# 1..16, 5,373 all of orders 1..18.
-_SUBTREE_RECORDS: dict[tuple[int, ...], tuple] = {}
-
-
-def _subtree_record(sub: tuple[int, ...]) -> tuple:
-    """(z0, c0, z1, c1, z2, c2, z_in, c_in, z_out, c_out) at the subtree's root."""
+@functools.cache
+def _subtree_record(sub: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The root records of ``mds_table`` and ``mis_table`` for a root-child
+    subtree, keyed by its slice of its tree's level sequence (every root
+    child sits at level 1, so slices need no re-basing).  One entry per
+    distinct subtree: 1,230 cover all of orders 1..16, 5,373 all of orders
+    1..18."""
     parent = [-1, *CanonicalCode(tuple(x - 1 for x in sub)).parents()]
-    (z0, z1, z2), (c0, c1, c2) = mds_table(parent)
-    (z_in, z_out), (c_in, c_out) = mis_table(parent)
-    return z0[0], c0[0], z1[0], c1[0], z2[0], c2[0], z_in[0], c_in[0], z_out[0], c_out[0]
+    return mds_table(parent)[0], mis_table(parent)[0]
 
 
 def _level_counts(levels: tuple[int, ...]) -> tuple[int, int, int, int]:
     """(gamma, MDS count, alpha, MIS count) of a tree given by its level
     sequence rooted at vertex 0.
 
-    Each root child's subtree record comes from the memo, and the root
-    merges the records with the steps of ``mds_table`` and ``mis_table``.
+    The root merges each root child's memoised subtree records with the
+    counters' own ``_mds_merge`` and ``_mis_merge``.
     """
-    z0, c0, z1, c1, z2, c2 = 1, 1, None, 0, 0, 1
-    z_in, c_in, z_out, c_out = 1, 1, 0, 1
+    mds, mis = MDS_LEAF, MIS_LEAF
     s = 1
     children = levels.count(1)
     while children:
         children -= 1
         e = levels.index(1, s + 1) if children else len(levels)
-        sub = levels[s:e]
+        child_mds, child_mis = _subtree_record(levels[s:e])
         s = e
-        record = _SUBTREE_RECORDS.get(sub)
-        if record is None:
-            record = _SUBTREE_RECORDS[sub] = _subtree_record(sub)
-        a0, n0, a1, n1, a2, m2, a_in, n_in, a_out, n_out = record
-        if a1 is None or a0 < a1:
-            low, n_low = a0, n0
-        elif a1 < a0:
-            low, n_low = a1, n1
-        else:
-            low, n_low = a0, n0 + n1
-        if a2 is None or low < a2:
-            z0 += low
-            c0 *= n_low
-        elif a2 < low:
-            z0 += a2
-            c0 *= m2
-        else:
-            z0 += low
-            c0 *= n_low + m2
-        z_has = z1
-        if z_has is not None:
-            z_has += low
-            c_has = c1 * n_low
-        if z2 is not None:
-            z_first = z2 + a0
-            if z_has is None or z_first < z_has:
-                z_has, c_has = z_first, c2 * n0
-            elif z_first == z_has:
-                c_has += c2 * n0
-            if a1 is None:
-                z2, c2 = None, 0
-            else:
-                z2, c2 = z2 + a1, c2 * n1
-        if z_has is not None:
-            z1, c1 = z_has, c_has
-        z_in += a_out
-        c_in *= n_out
-        if a_in > a_out:
-            z_out += a_in
-            c_out *= n_in
-        elif a_out > a_in:
-            z_out += a_out
-            c_out *= n_out
-        else:
-            z_out += a_in
-            c_out *= n_in + n_out
-    gamma, mds_count = _pick_min(z0, c0, z1, c1)
-    alpha, mis_count = _pick_max(z_in, c_in, z_out, c_out)
-    return gamma, mds_count, alpha, mis_count
+        mds = _mds_merge(mds, child_mds)
+        mis = _mis_merge(mis, child_mis)
+    z0, c0, z1, c1, _, _ = mds
+    return (*_pick_min(z0, c0, z1, c1), *_pick_max(*mis))
 
 
 def _level_spider_shape(levels: tuple[int, ...]) -> SpiderShape:
@@ -379,36 +331,38 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
     order_violations: list[tuple[str, str]] = []
     rows: list[TreeRow] | None = [] if emit_rows else None
     tasks = _tasks(min_order, max_order)
-    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        for batch in pool.imap(_block_rows, tasks) if pool else map(_block_rows, tasks):
-            for row in batch:
-                trees += 1
-                if not row.mds_bound_ok:
-                    mds_violations.append(
-                        (row.code, f"gamma={row.gamma} count={row.mds_count} exceeds 2.4606^gamma"))
-                if not row.mis_bound_ok:
-                    mis_violations.append(
-                        (row.code, f"alpha={row.alpha} count={row.mis_count} exceeds 2^(alpha-1)+1"))
-                elif row.mis_equality != row.is_subdivided_star:
-                    mis_violations.append(
-                        (row.code,
-                         f"alpha={row.alpha} count={row.mis_count} equality={row.mis_equality} "
-                         f"recognizer={row.is_subdivided_star}"))
-                order_bound = mis_order_bound(row.order)
-                if row.mis_count > order_bound:
-                    order_violations.append(
-                        (row.code,
-                         f"order={row.order} count={row.mis_count} exceeds order bound {order_bound}"))
-                best = gamma_best.get(row.gamma)
-                if best is None or row.mds_count > best.mds_count:
-                    gamma_best[row.gamma] = row
-                best = alpha_best.get(row.alpha)
-                if best is None or row.mis_count > best.mis_count:
-                    alpha_best[row.alpha] = row
-                if emit_rows:
-                    rows.append(row)
-    # Records are cheap to rebuild; do not keep them past the sweep.
-    _SUBTREE_RECORDS.clear()
+    try:
+        with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+            for batch in pool.imap(_block_rows, tasks) if pool else map(_block_rows, tasks):
+                for row in batch:
+                    trees += 1
+                    if not row.mds_bound_ok:
+                        mds_violations.append(
+                            (row.code, f"gamma={row.gamma} count={row.mds_count} exceeds 2.4606^gamma"))
+                    if not row.mis_bound_ok:
+                        mis_violations.append(
+                            (row.code, f"alpha={row.alpha} count={row.mis_count} exceeds 2^(alpha-1)+1"))
+                    elif row.mis_equality != row.is_subdivided_star:
+                        mis_violations.append(
+                            (row.code,
+                             f"alpha={row.alpha} count={row.mis_count} equality={row.mis_equality} "
+                             f"recognizer={row.is_subdivided_star}"))
+                    order_bound = mis_order_bound(row.order)
+                    if row.mis_count > order_bound:
+                        order_violations.append(
+                            (row.code,
+                             f"order={row.order} count={row.mis_count} exceeds order bound {order_bound}"))
+                    best = gamma_best.get(row.gamma)
+                    if best is None or row.mds_count > best.mds_count:
+                        gamma_best[row.gamma] = row
+                    best = alpha_best.get(row.alpha)
+                    if best is None or row.mis_count > best.mis_count:
+                        alpha_best[row.alpha] = row
+                    if emit_rows:
+                        rows.append(row)
+    finally:
+        # Records are cheap to rebuild; do not keep them past the sweep.
+        _subtree_record.cache_clear()
 
     gamma_records = {g: ExtremalRecord(g, r.mds_count, CanonicalCode.from_string(r.code), r.order)
                      for g, r in sorted(gamma_best.items())}

@@ -100,8 +100,14 @@ class CanonicalCode:
         tokens = text.split()
         if not tokens or tokens[0] != "c":
             raise ValueError(f"canonical code must start with 'c', got {text!r}")
-        n = int(tokens[1])
-        parents = [int(t) for t in tokens[2:]]
+        if len(tokens) < 2:
+            raise ValueError(f"canonical code needs an order after 'c', got {text!r}")
+        try:
+            n, *parents = map(int, tokens[1:])
+        except ValueError:
+            raise ValueError(f"canonical code entries must be integers, got {text!r}") from None
+        if n < 1:
+            raise ValueError(f"canonical code order must be at least 1, got {n}")
         if len(parents) != n - 1:
             raise ValueError(f"expected {n - 1} parent entries, got {len(parents)}")
         levels = [0]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from strategies import forests, labeled_trees
 from domcount.domination import (
+    MDS_LEAF,
     DomResult,
     brute_force_domination,
     count_min_dominating_sets,
@@ -22,12 +23,11 @@ def is_dominating(forest, vertices):
 
 
 def test_leaf_state_invariants():
-    sizes, counts = mds_table(root_at(path(2), 0).parent)
+    records = mds_table(root_at(path(2), 0).parent)
     leaf = 1
-    assert (sizes[0][leaf], counts[0][leaf]) == (1, 1)
-    assert (sizes[1][leaf], counts[1][leaf]) == (None, 0)
-    assert (sizes[2][leaf], counts[2][leaf]) == (0, 1)
-    assert all(size >= 1 for size in sizes[0])
+    # (z0, c0, z1, c1, z2, c2): sigma0 (1, 1), sigma1 infeasible, sigma2 (0, 1).
+    assert records[leaf] == MDS_LEAF == (1, 1, None, 0, 0, 1)
+    assert all(z0 >= 1 for z0, *_ in records)
 
 
 def test_single_vertex():
@@ -76,9 +76,10 @@ def test_root_choice_is_irrelevant():
             forest = code.decode()
             results = set()
             for v in range(forest.n):
-                sizes, counts = mds_table(root_at(forest, v).parent)
-                gamma = min(sizes[s][0] for s in (0, 1) if sizes[s][0] is not None)
-                results.add((gamma, sum(counts[s][0] for s in (0, 1) if sizes[s][0] == gamma)))
+                z0, c0, z1, c1, _, _ = mds_table(root_at(forest, v).parent)[0]
+                states = ((z0, c0), (z1, c1))
+                gamma = min(z for z, _ in states if z is not None)
+                results.add((gamma, sum(c for z, c in states if z == gamma)))
             assert len(results) == 1
 
 

@@ -202,11 +202,6 @@ def test_stored_rootings_of_paths_stars_spiders(forest):
     assert_stored_rootings_are_bfs(forest)
 
 
-def root_entries(table):
-    sizes, counts = table
-    return [column[0] for column in (*sizes, *counts)]
-
-
 def test_decoded_preorder_rooting_gives_the_same_tables_and_sets():
     # A decoded tree keeps its preorder as its rooting; the same tree built
     # from its edges keeps the breadth-first one.
@@ -218,8 +213,9 @@ def test_decoded_preorder_rooting_gives_the_same_tables_and_sets():
             built = build_forest(n, decoded.edges)
             assert_stored_rootings_are_bfs(built)
             _, parent = bfs_rooting(built, 0)
-            assert root_entries(mds_table(preorder)) == root_entries(mds_table(parent))
-            assert root_entries(mis_table(preorder)) == root_entries(mis_table(parent))
+            # Position 0 is the root under both rootings.
+            assert mds_table(preorder)[0] == mds_table(parent)[0]
+            assert mis_table(preorder)[0] == mis_table(parent)[0]
             assert enumerate_min_dominating_sets(decoded) == enumerate_min_dominating_sets(built)
             assert enumerate_max_independent_sets(decoded) == enumerate_max_independent_sets(built)
 

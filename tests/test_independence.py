@@ -62,9 +62,10 @@ def test_root_choice_is_irrelevant():
             forest = code.decode()
             results = set()
             for v in range(forest.n):
-                sizes, counts = mis_table(root_at(forest, v).parent)
-                alpha = max(sizes[s][0] for s in (0, 1))
-                results.add((alpha, sum(counts[s][0] for s in (0, 1) if sizes[s][0] == alpha)))
+                z_in, c_in, z_out, c_out = mis_table(root_at(forest, v).parent)[0]
+                states = ((z_in, c_in), (z_out, c_out))
+                alpha = max(z for z, _ in states)
+                results.add((alpha, sum(c for z, c in states if z == alpha)))
             assert len(results) == 1
 
 

@@ -203,6 +203,21 @@ def test_code_string_rejects_garbage():
         CanonicalCode.from_string("c 3 0 2")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "must start with 'c'"),
+    ("c", "needs an order"),
+    ("c 0", "order must be at least 1, got 0"),
+    ("c -1", "order must be at least 1, got -1"),
+    ("c 2 x", "entries must be integers"),
+    ("c two", "entries must be integers"),
+    ("c 3 0", "expected 2 parent entries, got 1"),
+    ("c 3 0 2", "parent index 2 of vertex 2 out of range"),
+])
+def test_code_string_errors_name_the_fault(text, message):
+    with pytest.raises(ValueError, match=message):
+        CanonicalCode.from_string(text)
+
+
 def test_parent_indices_precede_children():
     for code in generate_trees(9):
         for child, parent in enumerate(code.parents(), start=1):
