@@ -54,20 +54,21 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     forest = _read_forest(args.input)
-    if args.set == "mis":
-        sets = enumerate_max_independent_sets(forest, limit=args.limit)
-        size_name, total = "alpha", count_max_independent_sets(forest)
-        size_value, count_value = total.alpha, total.mis_count
-    else:
-        sets = enumerate_min_dominating_sets(forest, limit=args.limit)
-        dom = count_min_dominating_sets(forest)
-        size_name, size_value, count_value = "gamma", dom.gamma, dom.mds_count
+    mis = args.set == "mis"
+    enumerate_sets = enumerate_max_independent_sets if mis else enumerate_min_dominating_sets
+    sets = enumerate_sets(forest, limit=args.limit)
     if args.format == "csv":
         print("index,size,vertices")
         for i, s in enumerate(sets):
             print(f"{i},{len(s)},{' '.join(map(str, sorted(s)))}")
     else:
-        print(f"{size_name}={size_value} count={count_value} shown={len(sets)}")
+        if mis:
+            ind = count_max_independent_sets(forest)
+            header = f"alpha={ind.alpha} count={ind.mis_count}"
+        else:
+            dom = count_min_dominating_sets(forest)
+            header = f"gamma={dom.gamma} count={dom.mds_count}"
+        print(f"{header} shown={len(sets)}")
         for s in sets:
             print(" ".join(map(str, sorted(s))))
     return 0

@@ -22,17 +22,22 @@ The constraint is not recovered by subtracting unconstrained counts,
 because the constrained minimum can be strictly larger than the
 unconstrained one and subtraction would lose those sets.
 
-Enumeration walks the same tables.  It splits the sigma1 sets of a vertex
-by their first child in sigma0: the children before it are in sigma1, the
-later ones in whichever of sigma0 and sigma1 is smaller (both on a tie),
-and a split is expanded only when its total size equals sigma1's.
+Enumeration is the same fold over the same merge with each count
+replaced by a ``_SetFamily``, the family of optimal sets of that state as
+vertex bitmasks.  The merges only compare sizes and add or multiply
+counts, so lifting + to the union of disjoint families and * to joining
+one set from each side lists exactly the sets that the counts count.  The
+counter for maximum independent sets enumerates the same way, through
+the shared fold and driver here.
 
 Counts are exact arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .forest import Forest, RootedTree, root_at
@@ -94,14 +99,19 @@ def _mds_merge(acc, child):
     return z0, c0, z1, c1, z2, c2
 
 
+def _fold(parent: list[int], records: list, merge) -> list:
+    """Merge every position's record into its parent's, last position to
+    first, in place; ``records`` starts as each position's leaf record."""
+    for i in range(len(parent) - 1, 0, -1):
+        p = parent[i]
+        records[p] = merge(records[p], records[i])
+    return records
+
+
 def mds_table(parent: list[int]) -> list[tuple]:
     """The (z0, c0, z1, c1, z2, c2) record of every position of a rooted
     tree; ``parent`` is ``RootedTree.parent``."""
-    records = [MDS_LEAF] * len(parent)
-    for i in range(len(parent) - 1, 0, -1):
-        p = parent[i]
-        records[p] = _mds_merge(records[p], records[i])
-    return records
+    return _fold(parent, [MDS_LEAF] * len(parent), _mds_merge)
 
 
 @dataclass(frozen=True)
@@ -130,83 +140,81 @@ def count_min_dominating_sets(forest: Forest) -> DomResult:
     return DomResult(gamma, count)
 
 
-def _joins(base, options) -> list[frozenset[int]]:
-    """``base`` joined with one set from each option list, every way."""
-    return [frozenset(base).union(*parts) for parts in itertools.product(*options)]
+class _SetFamily:
+    """A family of vertex sets as bitmasks, standing in for a count: ``+``
+    is the union of two disjoint families and ``*`` joins one set from
+    each side in every way, so the merges list sets where they count them.
+    Families are never mutated."""
+
+    __slots__ = ("masks",)
+
+    def __init__(self, masks: list[int]):
+        self.masks = masks
+
+    def __add__(self, other: _SetFamily) -> _SetFamily:
+        return _SetFamily(self.masks + other.masks)
+
+    def __mul__(self, other: _SetFamily) -> _SetFamily:
+        if other is EMPTY_SET:
+            return self
+        if self is EMPTY_SET:
+            return other
+        return _SetFamily([a | b for a in self.masks for b in other.masks])
 
 
-def _component_sets(tree: RootedTree) -> list[frozenset[int]]:
-    """All minimum dominating sets of one component, DP-guided.
-
-    Only state choices that achieve the recorded minima are expanded, so
-    the work is polynomial in component size times the number of sets.
-    """
-    order = tree.order
-    z0, _, z1, _, z2, _ = zip(*mds_table(tree.parent))
-    sizes = (z0, z1, z2)
-    children = tree.child_positions()
-    memo: dict[tuple[int, int], list[frozenset[int]]] = {}
-
-    def optimal(i: int, states) -> list[frozenset[int]]:
-        feasible = [s for s in states if sizes[s][i] is not None]
-        least = min(sizes[s][i] for s in feasible)
-        return [x for s in feasible if sizes[s][i] == least for x in sets(i, s)]
-
-    def sets(i: int, state: int) -> list[frozenset[int]]:
-        key = (i, state)
-        if key in memo:
-            return memo[key]
-        kids = children[i]
-        if state == 0:
-            result = _joins({order[i]}, [optimal(c, (0, 1, 2)) for c in kids])
-        elif state == 2:
-            result = _joins((), [sets(c, 1) for c in kids])
-        else:
-            low = [z0[c] if z1[c] is None else min(z0[c], z1[c]) for c in kids]
-            rest = sum(low)
-            head = 0
-            result = []
-            for j, c in enumerate(kids):
-                rest -= low[j]
-                if head + z0[c] + rest == z1[i]:
-                    result += _joins((), [sets(k, 1) for k in kids[:j]] + [sets(c, 0)]
-                                     + [optimal(k, (0, 1)) for k in kids[j + 1:]])
-                if z1[c] is None:
-                    break
-                head += z1[c]
-        memo[key] = result
-        return result
-
-    return optimal(0, (0, 1))
+# The families standing in for counts 0 and 1: no set, and the empty set alone.
+NO_SETS = _SetFamily([])
+EMPTY_SET = _SetFamily([0])
 
 
-def _enumerate_sets(forest: Forest, component_sets, limit: int | None) -> list[frozenset[int]]:
+def _mds_family(tree: RootedTree, top: int) -> _SetFamily:
+    """The minimum dominating sets of one rooted component, vertex v as
+    bit ``top - v``."""
+    records = _fold(tree.parent, [(1, _SetFamily([1 << (top - v)]), None, NO_SETS, 0, EMPTY_SET)
+                                  for v in tree.order], _mds_merge)
+    z0, c0, z1, c1, _, _ = records[0]
+    return _pick_min(z0, c0, z1, c1)[1]
+
+
+@functools.cache
+def _byte_sets(j: int) -> tuple[frozenset[int], ...]:
+    """Byte j of a big-endian set mask, by value, as vertices 8j..8j+7."""
+    return tuple(frozenset(dict.fromkeys(8 * j + i for i in range(8) if x >> (7 - i) & 1))
+                 for x in range(256))
+
+
+def _enumerate_sets(forest: Forest, component_family, limit: int | None) -> list[frozenset[int]]:
     """Every union of one set per component, ordered by sorted vertex
     lists and truncated to ``limit`` entries when given.
 
-    ``component_sets`` lists the sets of one rooted component.  A negative
-    ``limit`` is rejected, and so is a forest above the oracle order cap,
-    since output size can grow exponentially.
+    ``component_family(tree, top)`` gives the optimal sets of one rooted
+    component with vertex v as bit ``top - v``; ``top + 1`` is the order
+    rounded up to whole bytes, so each byte of a mask is looked up as a
+    presized frozenset and the set is their union.  Every set has the same
+    size, and among sets of one size the order of sorted vertex lists is
+    the decreasing order of these masks.  A negative ``limit`` is
+    rejected, and so is a forest above the oracle order cap, since output
+    size can grow exponentially.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     guard = oracle_max_order()
     if forest.n > guard:
         raise ValueError(f"enumeration capped at order {guard}, got {forest.n}")
-    combined = [frozenset()]
+    width = max(1, (forest.n + 7) // 8)
+    top = 8 * width - 1
+    combined = EMPTY_SET
     for members in forest.components:
-        here = component_sets(root_at(forest, members[0]))
-        combined = [acc | s for acc in combined for s in here]
-    combined.sort(key=lambda s: tuple(sorted(s)))
-    if limit is not None:
-        combined = combined[:limit]
-    return combined
+        combined *= component_family(root_at(forest, members[0]), top)
+    pieces = [_byte_sets(j) for j in range(width)]
+    return [functools.reduce(operator.or_, map(operator.getitem, pieces, m.to_bytes(width, "big")))
+            for m in sorted(combined.masks, reverse=True)[:limit]]
 
 
 def enumerate_min_dominating_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
     """All minimum dominating sets, ordered by their sorted vertex lists and
     truncated to ``limit`` entries when given (see ``_enumerate_sets``)."""
-    return _enumerate_sets(forest, _component_sets, limit)
+    return _enumerate_sets(forest, _mds_family, limit)
 
 
 def brute_force_domination(forest: Forest) -> DomResult:

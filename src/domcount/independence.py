@@ -4,7 +4,8 @@ Mirrors the domination counter with a two-state (max, count) fold over the
 same flat rooting: per vertex either IN (in the independent set, children
 must be OUT) or OUT (children free).  ``_mis_merge`` merges one child's
 (z_in, c_in, z_out, c_out) record into its parent's, for the fold and for
-the exhaustive sweep's kernel alike.  Also ships the structural recognizer
+the exhaustive sweep's kernel alike; enumeration folds the same merge
+over set families in place of counts.  Also ships the structural recognizer
 for the trees that meet the 2^(alpha-1)+1 count with equality: a star with
 all but one edge subdivided once.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .domination import _enumerate_sets, _joins
+from .domination import EMPTY_SET, _enumerate_sets, _fold, _SetFamily
 from .forest import Forest, RootedTree, root_at
 from .limits import oracle_max_order
 
@@ -48,11 +49,7 @@ def _mis_merge(acc, child):
 def mis_table(parent: list[int]) -> list[tuple]:
     """The (z_in, c_in, z_out, c_out) record of every position of a rooted
     tree; ``parent`` is ``RootedTree.parent``."""
-    records = [MIS_LEAF] * len(parent)
-    for i in range(len(parent) - 1, 0, -1):
-        p = parent[i]
-        records[p] = _mis_merge(records[p], records[i])
-    return records
+    return _fold(parent, [MIS_LEAF] * len(parent), _mis_merge)
 
 
 @dataclass(frozen=True)
@@ -78,34 +75,18 @@ def count_max_independent_sets(forest: Forest) -> IndResult:
     return IndResult(alpha, count)
 
 
-def _component_sets(tree: RootedTree) -> list[frozenset[int]]:
-    """All maximum independent sets of one component, DP-guided."""
-    order = tree.order
-    z_in, _, z_out, _ = zip(*mis_table(tree.parent))
-    children = tree.child_positions()
-    memo: dict[tuple[int, bool], list[frozenset[int]]] = {}
-
-    def optimal(i: int) -> list[frozenset[int]]:
-        best = max(z_in[i], z_out[i])
-        return ((sets(i, True) if z_in[i] == best else [])
-                + (sets(i, False) if z_out[i] == best else []))
-
-    def sets(i: int, in_set: bool) -> list[frozenset[int]]:
-        key = (i, in_set)
-        if key not in memo:
-            if in_set:
-                memo[key] = _joins({order[i]}, [sets(c, False) for c in children[i]])
-            else:
-                memo[key] = _joins((), [optimal(c) for c in children[i]])
-        return memo[key]
-
-    return optimal(0)
+def _mis_family(tree: RootedTree, top: int) -> _SetFamily:
+    """The maximum independent sets of one rooted component, vertex v as
+    bit ``top - v``."""
+    records = _fold(tree.parent, [(1, _SetFamily([1 << (top - v)]), 0, EMPTY_SET) for v in tree.order],
+                    _mis_merge)
+    return _pick_max(*records[0])[1]
 
 
 def enumerate_max_independent_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
     """All maximum independent sets, ordered by their sorted vertex lists and
     truncated to ``limit`` entries when given (see ``_enumerate_sets``)."""
-    return _enumerate_sets(forest, _component_sets, limit)
+    return _enumerate_sets(forest, _mis_family, limit)
 
 
 def brute_force_independence(forest: Forest) -> IndResult:

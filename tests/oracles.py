@@ -12,15 +12,24 @@ per-tree map as it was before the level-sequence kernel, one decoded
 ``filtered_free_levels`` is the generator without the block skip: it
 tests every rooted sequence for canonicity.  ``bfs_rooting`` is the
 breadth-first rooting the counters used before every forest kept its own.
+``recursive_min_dominating_sets`` and ``recursive_max_independent_sets``
+are the enumerators as they were before they folded set families through
+the counters' merges: a memoised top-down recursion over the package's
+``mds_table`` and ``mis_table``.  ``scanned_min_dominating_sets`` and
+``scanned_max_independent_sets`` share nothing with the package: they
+scan vertex subsets.
 """
 
 from collections import Counter
-from itertools import permutations, product
+from functools import reduce
+from itertools import combinations, permutations, product
 from math import factorial
+from operator import or_
 
-from domcount.domination import count_min_dominating_sets
+from domcount.domination import count_min_dominating_sets, mds_table
+from domcount.forest import root_at
 from domcount.family import TableRow, closed_form_count
-from domcount.independence import count_max_independent_sets, is_subdivided_star
+from domcount.independence import count_max_independent_sets, is_subdivided_star, mis_table
 from domcount.search import TreeRow, verify_mds_bound, verify_mis_bound
 from domcount.treegen import CanonicalCode
 
@@ -210,3 +219,135 @@ def forest_tree_rows(levels_batch):
             mis_bound_ok=mis_check.passed, mis_equality=mis_check.equality,
             is_subdivided_star=shape.is_subdivided_star))
     return rows
+
+
+def _joins(base, options):
+    """``base`` joined with one set from each option list, every way."""
+    return [frozenset(base).union(*parts) for parts in product(*options)]
+
+
+def _recursive_mds_component(tree):
+    """All minimum dominating sets of one rooted component, DP-guided.
+
+    The sigma1 sets of a vertex are split by their first child in sigma0:
+    the children before it are in sigma1, the later ones in whichever of
+    sigma0 and sigma1 is smaller (both on a tie), and a split is expanded
+    only when its total size equals sigma1's.
+    """
+    order = tree.order
+    z0, _, z1, _, z2, _ = zip(*mds_table(tree.parent))
+    sizes = (z0, z1, z2)
+    children = tree.child_positions()
+    memo = {}
+
+    def optimal(i, states):
+        feasible = [s for s in states if sizes[s][i] is not None]
+        least = min(sizes[s][i] for s in feasible)
+        return [x for s in feasible if sizes[s][i] == least for x in sets(i, s)]
+
+    def sets(i, state):
+        key = (i, state)
+        if key in memo:
+            return memo[key]
+        kids = children[i]
+        if state == 0:
+            result = _joins({order[i]}, [optimal(c, (0, 1, 2)) for c in kids])
+        elif state == 2:
+            result = _joins((), [sets(c, 1) for c in kids])
+        else:
+            low = [z0[c] if z1[c] is None else min(z0[c], z1[c]) for c in kids]
+            rest = sum(low)
+            head = 0
+            result = []
+            for j, c in enumerate(kids):
+                rest -= low[j]
+                if head + z0[c] + rest == z1[i]:
+                    result += _joins((), [sets(k, 1) for k in kids[:j]] + [sets(c, 0)]
+                                     + [optimal(k, (0, 1)) for k in kids[j + 1:]])
+                if z1[c] is None:
+                    break
+                head += z1[c]
+        memo[key] = result
+        return result
+
+    return optimal(0, (0, 1))
+
+
+def _recursive_mis_component(tree):
+    """All maximum independent sets of one rooted component, DP-guided."""
+    order = tree.order
+    z_in, _, z_out, _ = zip(*mis_table(tree.parent))
+    children = tree.child_positions()
+    memo = {}
+
+    def optimal(i):
+        best = max(z_in[i], z_out[i])
+        return ((sets(i, True) if z_in[i] == best else [])
+                + (sets(i, False) if z_out[i] == best else []))
+
+    def sets(i, in_set):
+        key = (i, in_set)
+        if key not in memo:
+            if in_set:
+                memo[key] = _joins({order[i]}, [sets(c, False) for c in children[i]])
+            else:
+                memo[key] = _joins((), [optimal(c) for c in children[i]])
+        return memo[key]
+
+    return optimal(0)
+
+
+def _recursive_sets(forest, component_sets, limit):
+    combined = [frozenset()]
+    for members in forest.components:
+        here = component_sets(root_at(forest, members[0]))
+        combined = [acc | s for acc in combined for s in here]
+    combined.sort(key=lambda s: tuple(sorted(s)))
+    return combined if limit is None else combined[:limit]
+
+
+def recursive_min_dominating_sets(forest, limit=None):
+    """Every minimum dominating set, ordered by sorted vertex lists and
+    truncated to ``limit`` entries when given."""
+    return _recursive_sets(forest, _recursive_mds_component, limit)
+
+
+def recursive_max_independent_sets(forest, limit=None):
+    """Every maximum independent set, ordered and truncated likewise."""
+    return _recursive_sets(forest, _recursive_mis_component, limit)
+
+
+def scanned_min_dominating_sets(n, adj):
+    """Every minimum dominating set of the graph on 0..n-1 with adjacency
+    lists ``adj``, ordered by sorted vertex lists: the subsets of each size,
+    smallest size first, in lexicographic order, until one dominates."""
+    closed = [reduce(or_, (1 << w for w in adj[v]), 1 << v) for v in range(n)].__getitem__
+    full = (1 << n) - 1
+    for size in range(n + 1):
+        found = [frozenset(c) for c in combinations(range(n), size)
+                 if reduce(or_, map(closed, c), 0) == full]
+        if found:
+            return found
+    raise AssertionError("the whole vertex set always dominates")
+
+
+def scanned_max_independent_sets(n, adj):
+    """Every maximum independent set, ordered by sorted vertex lists.
+
+    Scans subsets in lexicographic order of their sorted vertex lists,
+    skipping the supersets of each dependent set (none is independent), and
+    keeps the largest independent ones.
+    """
+    neighbours = [reduce(or_, (1 << w for w in adj[v]), 0) for v in range(n)]
+    found, size = [], -1
+    stack = [((), 0, 0)]
+    while stack:
+        members, mask, start = stack.pop()
+        if len(members) > size:
+            found, size = [], len(members)
+        if len(members) == size:
+            found.append(frozenset(members))
+        # Pushed last to first, so the smallest next vertex is popped first.
+        stack.extend((members + (v,), mask | 1 << v, v + 1)
+                     for v in range(n - 1, start - 1, -1) if not neighbours[v] & mask)
+    return found

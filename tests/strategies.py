@@ -19,3 +19,12 @@ def forests(draw, max_components=3, max_order=7):
     count = draw(st.integers(1, max_components))
     parts = [draw(labeled_trees(max_order=max_order)) for _ in range(count)]
     return disjoint_union(*parts)
+
+
+@st.composite
+def shuffled_forests(draw, max_components=4, max_order=6):
+    """``forests`` with permuted labels, so components interleave; its
+    trees of order 1 are isolated vertices."""
+    parts = draw(forests(max_components, max_order))
+    label = draw(st.permutations(range(parts.n)))
+    return build_forest(parts.n, [(label[u], label[v]) for u, v in parts.edges])
