@@ -15,18 +15,17 @@ kept with a witness (ties broken to the smaller order, then the smaller
 canonical code).
 
 The parent process walks each order's first-subtree blocks
-(``treegen.block_starts``) and hands them out in tasks of up to
-_BLOCKS_PER_TASK block starts, all of one order.  A worker generates each
-block's trees (``treegen.block_trees``) and turns every level sequence
-straight into its row: the root's children are split at the level-1
-positions, each child's slice of the sequence keys a per-process memo of
-that subtree's root records in ``mds_table`` and ``mis_table``, and the
-root merges the memoised records with the same ``_mds_merge`` and
-``_mis_merge`` the tables are folded with.  No ``Forest`` is built per
-tree; only the per-gamma record witnesses are decoded, for their
-diagnostics.
+(``treegen.block_starts``) and streams the block starts of all orders to
+the workers, _BLOCKS_PER_TASK at a time.  A worker generates each block's
+trees (``treegen.block_trees``) and turns every level sequence straight
+into its row with one recursion over slices of the sequence: a subtree's
+children are the entries one level below its first, each child's slice
+is looked up in a per-process memo of its (MDS, MIS) root records, and
+the records are merged with the counters' own ``_mds_merge`` and
+``_mis_merge``.  No ``Forest`` is built per tree; only the per-gamma
+record witnesses are decoded, for their diagnostics.
 
-The parent folds the returned rows in task order, which is stream order:
+The parent folds the returned rows in block order, which is stream order:
 orders ascend, blocks follow the generator, and codes strictly increase
 within an order.  So the first row to reach a record count is the
 tie-break winner whatever the worker count, and the report is identical
@@ -37,14 +36,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domination import MDS_LEAF, _mds_merge, _pick_min, enumerate_min_dominating_sets, mds_table
-from .forest import Forest, classify_vertices, pendant_two_paths
-from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_merge, _pick_max, mis_table
+from .domination import MDS_LEAF, _fold, _mds_merge, _pick_min
+from .forest import Forest, classify_vertices, pendant_two_paths, root_at
+from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_merge, _pick_max
 from .limits import search_max_order
 from .treegen import CanonicalCode, block_starts, block_trees
 
@@ -59,8 +57,8 @@ from .treegen import generate_trees  # noqa: F401
 _BOUND_NUMERATOR = 24606
 _BOUND_DENOMINATOR = 10000
 
-# First-subtree blocks per worker task.  At order 16, 1,230 blocks make 20
-# tasks; no block holds more than 3 % of its order's trees.
+# imap's chunk size: first-subtree blocks per worker task.  Chunks may span
+# orders; order 16 has 1,230 blocks, none with over 3 % of its trees.
 _BLOCKS_PER_TASK = 64
 
 
@@ -162,21 +160,33 @@ class DiagnosticsReport:
         return max(c.gap for c in self.configurations)
 
 
+# The MDS leaf record with the vertex forced into the set: sigma0 only.
+_MDS_IN = (1, 1, None, 0, None, 0)
+
+
+def _mds_size(parent: list[int], records: list) -> int:
+    """Size of a smallest dominating set, folding from these leaf records."""
+    z0, c0, z1, c1, _, _ = _fold(parent, records, _mds_merge)[0]
+    return _pick_min(z0, c0, z1, c1)[0]
+
+
 def extremal_diagnostics(forest: Forest) -> DiagnosticsReport:
     """Structural sanity checks expected of count-maximizing trees.
 
     (1) every endvertex should appear in at least one minimum dominating
-    set; (2) wherever two or more neighbors of a common vertex hang whole
+    set, i.e. the fold with that vertex forced into the set still reaches
+    gamma; (2) wherever two or more neighbors of a common vertex hang whole
     bundles of pendant 2-paths, the bundle sizes should differ by at most
     one.  Both are reported, never enforced.
     """
     if forest.component_count != 1:
         raise ValueError("diagnostics expect a single tree component")
-    covered: set[int] = set()
-    for dom_set in enumerate_min_dominating_sets(forest):
-        covered |= dom_set
-    endvertices = sorted(classify_vertices(forest).endvertices)
-    uncovered = tuple(v for v in endvertices if v not in covered)
+    tree = root_at(forest, 0)
+    leaves = [MDS_LEAF] * forest.n
+    gamma = _mds_size(tree.parent, leaves[:])
+    endvertices = classify_vertices(forest).endvertices
+    uncovered = tuple(sorted(v for i, v in enumerate(tree.order) if v in endvertices
+                             and _mds_size(tree.parent, [*leaves[:i], _MDS_IN, *leaves[i + 1:]]) > gamma))
     configurations = []
     for x in range(forest.n):
         parts = []
@@ -234,35 +244,35 @@ class SearchReport:
                 + len(self.order_bound_violations))
 
 
-@functools.cache
-def _subtree_record(sub: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """The root records of ``mds_table`` and ``mis_table`` for a root-child
-    subtree, keyed by its slice of its tree's level sequence (every root
-    child sits at level 1, so slices need no re-basing).  One entry per
-    distinct subtree: 1,230 cover all of orders 1..16, 5,373 all of orders
-    1..18."""
-    parent = [-1, *CanonicalCode(tuple(x - 1 for x in sub)).parents()]
-    return mds_table(parent)[0], mis_table(parent)[0]
+def _records(sub: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The (MDS, MIS) root records of the subtree whose slice of a level
+    sequence is ``sub``.  Its children are the entries one level below
+    ``sub[0]``; their records come from ``_subtree_record`` and are merged
+    with the counters' own ``_mds_merge`` and ``_mis_merge``."""
+    mds, mis = MDS_LEAF, MIS_LEAF
+    level = sub[0] + 1
+    s = 1
+    children = sub.count(level)
+    while children:
+        children -= 1
+        e = sub.index(level, s + 1) if children else len(sub)
+        child_mds, child_mis = _subtree_record(sub[s:e])
+        s = e
+        mds = _mds_merge(mds, child_mds)
+        mis = _mis_merge(mis, child_mis)
+    return mds, mis
+
+
+# Per-process memo of ``_records`` by slice, levels as they stand in their
+# tree, so a subtree at two depths has two entries: 1,656 cover all of
+# orders 1..16, 7,029 all of orders 1..18.  Cleared after each sweep.
+_subtree_record = functools.cache(_records)
 
 
 def _level_counts(levels: tuple[int, ...]) -> tuple[int, int, int, int]:
     """(gamma, MDS count, alpha, MIS count) of a tree given by its level
-    sequence rooted at vertex 0.
-
-    The root merges each root child's memoised subtree records with the
-    counters' own ``_mds_merge`` and ``_mis_merge``.
-    """
-    mds, mis = MDS_LEAF, MIS_LEAF
-    s = 1
-    children = levels.count(1)
-    while children:
-        children -= 1
-        e = levels.index(1, s + 1) if children else len(levels)
-        child_mds, child_mis = _subtree_record(levels[s:e])
-        s = e
-        mds = _mds_merge(mds, child_mds)
-        mis = _mis_merge(mis, child_mis)
-    z0, c0, z1, c1, _, _ = mds
+    sequence rooted at vertex 0.  Whole trees stay out of the memo."""
+    (z0, c0, z1, c1, _, _), mis = _records(levels)
     return (*_pick_min(z0, c0, z1, c1), *_pick_max(*mis))
 
 
@@ -276,30 +286,21 @@ def _level_spider_shape(levels: tuple[int, ...]) -> SpiderShape:
     return NOT_SUBDIVIDED_STAR
 
 
-def _block_rows(starts) -> list[TreeRow]:
-    """Generate, count and check every tree of some first-subtree blocks;
+def _block_rows(start: tuple[int, ...]) -> list[TreeRow]:
+    """Generate, count and check every tree of one first-subtree block;
     one row per tree, in stream order."""
     rows = []
-    for start in starts:
-        for levels in block_trees(start):
-            gamma, mds_count, alpha, mis_count = _level_counts(levels)
-            shape = _level_spider_shape(levels)
-            mis_check = verify_mis_bound(alpha, mis_count, shape)
-            rows.append(TreeRow(
-                order=len(levels), code=CanonicalCode(levels).to_string(), gamma=gamma,
-                mds_count=mds_count, alpha=alpha, mis_count=mis_count,
-                mds_bound_ok=verify_mds_bound(gamma, mds_count),
-                mis_bound_ok=mis_check.passed, mis_equality=mis_check.equality,
-                is_subdivided_star=shape.is_subdivided_star))
+    for levels in block_trees(start):
+        gamma, mds_count, alpha, mis_count = _level_counts(levels)
+        shape = _level_spider_shape(levels)
+        mis_check = verify_mis_bound(alpha, mis_count, shape)
+        rows.append(TreeRow(
+            order=len(levels), code=CanonicalCode(levels).to_string(), gamma=gamma,
+            mds_count=mds_count, alpha=alpha, mis_count=mis_count,
+            mds_bound_ok=verify_mds_bound(gamma, mds_count),
+            mis_bound_ok=mis_check.passed, mis_equality=mis_check.equality,
+            is_subdivided_star=shape.is_subdivided_star))
     return rows
-
-
-def _tasks(min_order: int, max_order: int):
-    """Runs of up to _BLOCKS_PER_TASK block starts, each within one order."""
-    for n in range(min_order, max_order + 1):
-        starts = block_starts(n)
-        while task := list(itertools.islice(starts, _BLOCKS_PER_TASK)):
-            yield task
 
 
 def search_extremal(min_order: int, max_order: int, jobs: int = 1,
@@ -307,8 +308,8 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
     """Sweep all free trees with min_order <= n <= max_order.
 
     Every tree gets the three bound checks, and every per-gamma record
-    witness gets ``extremal_diagnostics``.  Workers generate and map tasks
-    of first-subtree blocks to rows; this function folds the rows in task
+    witness gets ``extremal_diagnostics``.  Workers generate and map
+    first-subtree blocks to rows; this function folds the rows in block
     order, which is the generation stream's order.  The stream has
     ascending orders and strictly increasing codes within an order, so
     keeping the first row that reaches a record count breaks ties to the
@@ -330,10 +331,11 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
     mis_violations: list[tuple[str, str]] = []
     order_violations: list[tuple[str, str]] = []
     rows: list[TreeRow] | None = [] if emit_rows else None
-    tasks = _tasks(min_order, max_order)
+    starts = (start for n in range(min_order, max_order + 1) for start in block_starts(n))
     try:
         with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-            for batch in pool.imap(_block_rows, tasks) if pool else map(_block_rows, tasks):
+            for batch in (pool.imap(_block_rows, starts, _BLOCKS_PER_TASK) if pool
+                          else map(_block_rows, starts)):
                 for row in batch:
                     trees += 1
                     if not row.mds_bound_ok:

@@ -53,7 +53,7 @@ star-like (flat) ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from typing import Iterator
 
 from .forest import Forest, RootedTree, build_forest
@@ -76,12 +76,6 @@ class CanonicalCode:
 
     def parents(self) -> tuple[int, ...]:
         """Parent index of vertices 1..n-1 in canonical preorder."""
-        return self._parents
-
-    @cached_property
-    def _parents(self) -> tuple[int, ...]:
-        # Kept in the instance dict, outside the dataclass fields, so
-        # equality, hashing and repr still see only ``levels``.
         parents = []
         stack: list[int] = []
         for i, level in enumerate(self.levels):

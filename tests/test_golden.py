@@ -1,12 +1,18 @@
 """Byte-identical output gate, run in tier-1.
 
-The digests below were recorded from the build before the counters'
-per-child merges were shared between the flat folds and the sweep.  Any
-change to counts, record witnesses, tie-breaks, CSV rows, report text,
-stderr or exit codes shows up here as a digest mismatch.
+The search and enumeration digests below were recorded from the build
+before the counters' per-child merges were shared between the flat folds
+and the sweep; the demo digests from the build before the sweep kernel
+became one recursion over level slices.  Any change to counts, record
+witnesses, tie-breaks, CSV rows, report text, stderr or exit codes shows
+up here as a digest mismatch.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +59,21 @@ def enumeration_digest(max_order):
 
 def test_enumerators_output_is_unchanged():
     assert enumeration_digest(11) == ENUMERATION_GOLDEN
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# stdout of each script under demos/, run with the package on PYTHONPATH.
+DEMO_GOLDEN = {
+    "counting_basics": "881d2f0c28a585585de1af42aa53f4e7b58a559850995b86f62b7f8f0c29744d",
+    "exhaustive_sweep": "d029464ea401bb12ef58972a7bd1b59fd2ac277f116d549a9ac8b697630909c4",
+    "family_table": "ec428448f9b98b6109ab6d01281b9e84bee4248eed9587254ca78f2784b3c8ac",
+}
+
+
+@pytest.mark.parametrize("demo", list(DEMO_GOLDEN))
+def test_demo_output_is_unchanged(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert sha256(done.stdout) == DEMO_GOLDEN[demo]

@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from domcount.domination import count_min_dominating_sets
+from domcount import search
+from domcount.domination import count_min_dominating_sets, enumerate_min_dominating_sets, mds_table
 from domcount.family import build_family_tree
-from domcount.forest import build_forest, path, spider
-from domcount.independence import SpiderShape, count_max_independent_sets, is_subdivided_star
+from domcount.forest import build_forest, classify_vertices, path, spider, star
+from domcount.independence import SpiderShape, count_max_independent_sets, is_subdivided_star, mis_table
 from domcount.search import (
+    DiagnosticsReport,
+    HubConfiguration,
     _block_rows,
     _level_counts,
     _level_spider_shape,
+    _records,
+    _subtree_record,
     compute_growth_base,
     extremal_diagnostics,
     mis_order_bound,
@@ -20,7 +25,7 @@ from domcount.search import (
     verify_mds_bound,
     verify_mis_bound,
 )
-from domcount.treegen import block_starts, canonical_code, generate_trees
+from domcount.treegen import CanonicalCode, block_starts, canonical_code, generate_trees
 from oracles import forest_tree_rows
 
 
@@ -122,6 +127,44 @@ def test_diagnostics_uncovered_endvertex():
     assert diag.max_hub_gap is None
 
 
+def enumerated_uncovered(forest):
+    """Endvertices in no minimum dominating set, read off the full list."""
+    covered = frozenset().union(*enumerate_min_dominating_sets(forest))
+    return tuple(sorted(classify_vertices(forest).endvertices - covered))
+
+
+def relabeled(forest, rng):
+    labels = list(range(forest.n))
+    rng.shuffle(labels)
+    return build_forest(forest.n, [(labels[u], labels[v]) for u, v in forest.edges])
+
+
+def test_diagnostics_coverage_matches_enumeration():
+    # Every tree up to order 12, as decoded (rooted at its center) and
+    # relabeled (rooted wherever vertex 0 lands, often at a leaf).
+    rng = random.Random(28)
+    for n in range(1, 13):
+        for code in generate_trees(n):
+            for forest in (code.decode(), relabeled(code.decode(), rng)):
+                diag = extremal_diagnostics(forest)
+                assert diag.uncovered_endvertices == enumerated_uncovered(forest), code
+                assert diag.endvertices_covered == (not diag.uncovered_endvertices)
+
+
+def test_diagnostics_above_the_enumeration_cap(monkeypatch):
+    # The (4,4,4) family tree has order 28 and 14,896 minimum dominating
+    # sets; the star's leaves and some spider legs lie in none.
+    trees = [build_family_tree((4, 4, 4)).forest, star(27), spider(1, 1, 2, 2, 2, 3, 3, 3, 4, 5)]
+    assert all(forest.n > 25 for forest in trees)
+    reports = [extremal_diagnostics(forest) for forest in trees]
+    assert reports[0] == DiagnosticsReport(endvertices_covered=True, uncovered_endvertices=(),
+                                           configurations=(HubConfiguration(at=0, parts=(4, 4, 4)),))
+    assert reports[1].uncovered_endvertices == tuple(range(1, 28))
+    monkeypatch.setenv("DOMCOUNT_MAX_ORDER", "40")
+    for forest, report in zip(trees, reports):
+        assert report.uncovered_endvertices == enumerated_uncovered(forest)
+
+
 def test_diagnostics_requires_tree():
     from domcount.forest import disjoint_union
     with pytest.raises(ValueError):
@@ -181,7 +224,42 @@ def test_kernel_rows_match_forest_oracle():
     # counters and recognizer per tree.
     for n in range(1, 17):
         levels = [code.levels for code in generate_trees(n)]
-        assert _block_rows(list(block_starts(n))) == forest_tree_rows(levels), n
+        rows = [row for start in block_starts(n) for row in _block_rows(start)]
+        assert rows == forest_tree_rows(levels), n
+
+
+def test_records_match_tables_on_every_subtree():
+    # Every vertex's subtree slice in every tree of orders 1..14, against
+    # the root records of the flat folds over the slice shifted to level 0.
+    try:
+        for n in range(1, 15):
+            for code in generate_trees(n):
+                levels = code.levels
+                for i, level in enumerate(levels):
+                    end = next((j for j in range(i + 1, n) if levels[j] <= level), n)
+                    sub = levels[i:end]
+                    parent = [-1, *CanonicalCode(tuple(x - level for x in sub)).parents()]
+                    assert _records(sub) == (mds_table(parent)[0], mis_table(parent)[0]), (code, i)
+    finally:
+        _subtree_record.cache_clear()
+
+
+def test_sweep_releases_the_subtree_memo(monkeypatch):
+    search_extremal(1, 10)
+    assert _subtree_record.cache_info().currsize == 0
+    filled = []
+
+    def failing_check(gamma, count):
+        if gamma == 4:
+            filled.append(_subtree_record.cache_info().currsize)
+            raise RuntimeError("check failed")
+        return verify_mds_bound(gamma, count)
+
+    monkeypatch.setattr(search, "verify_mds_bound", failing_check)
+    with pytest.raises(RuntimeError, match="check failed"):
+        search_extremal(1, 10)
+    assert filled[0] > 0
+    assert _subtree_record.cache_info().currsize == 0
 
 
 def random_tree(rng):
