@@ -13,7 +13,7 @@ import sys
 
 from .domination import brute_force_domination, count_min_dominating_sets, enumerate_min_dominating_sets
 from .family import balanced_partition, build_family_tree, closed_form_count, family_tree_text, optimize_k, trend_row
-from .forest import ForestError, parse_forest
+from .forest import parse_forest
 from .independence import brute_force_independence, count_max_independent_sets, enumerate_max_independent_sets
 from .limits import oracle_max_order
 from .search import report_csv_lines, report_text, search_extremal
@@ -142,15 +142,10 @@ def _cmd_search(args) -> int:
         raise ValueError(f"--jobs must be between 1 and the CPU count {cpus}, got {args.jobs}")
     report = search_extremal(args.min_order, args.max_order, jobs=args.jobs,
                              emit_rows=args.emit_all)
-    if args.format == "csv":
+    if args.format == "csv" or args.emit_all:
         for line in report_csv_lines(report):
             print(line)
-        sys.stderr.write(report_text(report))
-    else:
-        if args.emit_all:
-            for line in report_csv_lines(report):
-                print(line)
-        sys.stdout.write(report_text(report))
+    (sys.stderr if args.format == "csv" else sys.stdout).write(report_text(report))
     return 1 if report.violation_count else 0
 
 
@@ -242,10 +237,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ForestError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -20,15 +20,18 @@ child in sigma0: while children are merged, sigma2 doubles as the running
 "no child in sigma0 yet" record and sigma1 as the "at least one" record.
 The constraint is not recovered by subtracting unconstrained counts,
 because the constrained minimum can be strictly larger than the
-unconstrained one and subtraction would lose those sets.
+unconstrained one and subtraction would lose those sets.  A vertex
+forced into the set starts from the sigma0-only leaf ``_MDS_IN``, and the
+counter is ``_mds_containing`` with no vertex forced.
 
 Enumeration is the same fold over the same merge with each count
 replaced by a ``_SetFamily``, the family of optimal sets of that state as
 vertex bitmasks.  The merges only compare sizes and add or multiply
 counts, so lifting + to the union of disjoint families and * to joining
-one set from each side lists exactly the sets that the counts count.  The
-counter for maximum independent sets enumerates the same way, through
-the shared fold and driver here.
+one set from each side lists exactly the sets that the counts count.  An
+infeasible state keeps the int count 0, which the merges never read.
+The counter for maximum independent sets enumerates the same way,
+through the shared fold and driver here.
 
 Counts are exact arbitrary-precision integers throughout.
 """
@@ -53,8 +56,10 @@ def _pick_min(za, ca, zb, cb):
     return za, ca + cb
 
 
-# (z0, c0, z1, c1, z2, c2) of a vertex before any child is merged.
+# (z0, c0, z1, c1, z2, c2) of a vertex before any child is merged, and of
+# a vertex forced into the set: sigma0 only.
 MDS_LEAF = (1, 1, None, 0, 0, 1)
+_MDS_IN = (1, 1, None, 0, None, 0)
 
 
 def _mds_merge(acc, child):
@@ -124,20 +129,29 @@ def domination_number(forest: Forest) -> int:
     return count_min_dominating_sets(forest).gamma
 
 
-def count_min_dominating_sets(forest: Forest) -> DomResult:
-    """Exact domination number and number of minimum dominating sets.
-
-    Both aggregate over components: sizes add, counts multiply.  The empty
-    forest has domination number 0 and one (empty) minimum dominating set.
-    """
-    gamma = 0
+def _mds_containing(forest: Forest, forced) -> tuple[int, int]:
+    """Size and number of the smallest dominating sets of ``forest`` that
+    contain every vertex of ``forced``.  Sizes add over components and
+    counts multiply, so the empty forest has one set, of size 0."""
+    size = 0
     count = 1
     for members in forest.components:
-        z0, c0, z1, c1, _, _ = mds_table(root_at(forest, members[0]).parent)[0]
-        size, number = _pick_min(z0, c0, z1, c1)
-        gamma += size
+        tree = root_at(forest, members[0])
+        leaves = [MDS_LEAF] * len(tree.order)
+        if forced:
+            for i, v in enumerate(tree.order):
+                if v in forced:
+                    leaves[i] = _MDS_IN
+        z0, c0, z1, c1, _, _ = _fold(tree.parent, leaves, _mds_merge)[0]
+        least, number = _pick_min(z0, c0, z1, c1)
+        size += least
         count *= number
-    return DomResult(gamma, count)
+    return size, count
+
+
+def count_min_dominating_sets(forest: Forest) -> DomResult:
+    """Exact domination number and number of minimum dominating sets."""
+    return DomResult(*_mds_containing(forest, ()))
 
 
 class _SetFamily:
@@ -162,15 +176,14 @@ class _SetFamily:
         return _SetFamily([a | b for a in self.masks for b in other.masks])
 
 
-# The families standing in for counts 0 and 1: no set, and the empty set alone.
-NO_SETS = _SetFamily([])
+# The family standing in for count 1: the empty set alone.
 EMPTY_SET = _SetFamily([0])
 
 
 def _mds_family(tree: RootedTree, top: int) -> _SetFamily:
     """The minimum dominating sets of one rooted component, vertex v as
     bit ``top - v``."""
-    records = _fold(tree.parent, [(1, _SetFamily([1 << (top - v)]), None, NO_SETS, 0, EMPTY_SET)
+    records = _fold(tree.parent, [(1, _SetFamily([1 << (top - v)]), None, 0, 0, EMPTY_SET)
                                   for v in tree.order], _mds_merge)
     z0, c0, z1, c1, _, _ = records[0]
     return _pick_min(z0, c0, z1, c1)[1]

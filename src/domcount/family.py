@@ -17,10 +17,11 @@ stated in the reduced form, so both columns are always reported.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .domination import enumerate_min_dominating_sets
+from .domination import _mds_containing
 from .forest import Forest, build_forest, forest_to_text, pendant_two_paths
 
 
@@ -212,6 +213,15 @@ def local_mds_partition(forest: Forest, w1: int, w2: int, x: int) -> LocalPartit
 
     Requires the local configuration: both hubs adjacent to x, each hub
     carrying only pendant 2-paths otherwise.
+
+    Nothing is listed: one forced fold per subset of {w1, w2, x} counts
+    the sets containing it, and inclusion-exclusion gives the sets of each
+    exact trace T.  Every minimum set holds exactly one vertex of each
+    chain (v, u): u needs u or v, and with both, u can go.  Either pick
+    covers the chain, and w_i's only other neighbour is x, so every pick
+    works when w_i or x is in T and every pick but all tips otherwise.
+    Each exact count is thus the projected count times the product over
+    both hubs of 2^p_i, less one when neither w_i nor x is in T.
     """
     if len({w1, w2, x}) != 3:
         raise ValueError("w1, w2 and x must be three distinct vertices")
@@ -221,17 +231,19 @@ def local_mds_partition(forest: Forest, w1: int, w2: int, x: int) -> LocalPartit
     chains2 = pendant_two_paths(forest, w2, x)
     if not chains1 or not chains2:
         raise ValueError("each hub must carry at least one pendant 2-path and nothing else")
-    masked = {v for pair in chains1 + chains2 for v in pair}
-    labels = {w1: "w1", w2: "w2", x: "x"}
-    buckets: dict[frozenset[str], set[frozenset[int]]] = {}
-    for dom_set in enumerate_min_dominating_sets(forest):
-        trace = frozenset(labels[v] for v in dom_set if v in labels)
-        buckets.setdefault(trace, set()).add(dom_set - masked)
+    p1, p2 = len(chains1), len(chains2)
+    vertex = {"w1": w1, "w2": w2, "x": x}
+    traces = [frozenset(c) for r in range(4) for c in itertools.combinations(vertex, r)]
+    folds = [_mds_containing(forest, [vertex[name] for name in t]) for t in traces]
+    gamma = folds[0][0]
+    containing = {t: count if size == gamma else 0 for t, (size, count) in zip(traces, folds)}
     counts = {}
-    for names in ((), ("w1",), ("w2",), ("x",), ("w1", "w2"), ("w1", "x"), ("w2", "x"), ("w1", "w2", "x")):
-        key = frozenset(names)
-        counts[key] = len(buckets.get(key, ()))
-    return LocalPartition(counts=counts, p1=len(chains1), p2=len(chains2))
+    for t in traces:
+        exact = sum((-1) ** len(s - t) * containing[s] for s in traces if t <= s)
+        free = "x" in t
+        counts[t] = exact // (((1 << p1) - (not free and "w1" not in t))
+                              * ((1 << p2) - (not free and "w2" not in t)))
+    return LocalPartition(counts=counts, p1=p1, p2=p2)
 
 
 @dataclass(frozen=True)

@@ -222,13 +222,6 @@ class RootedTree:
     order: list[int]
     parent: list[int]
 
-    def child_positions(self) -> list[list[int]]:
-        """The positions of each position's children, in increasing order."""
-        children: list[list[int]] = [[] for _ in self.parent]
-        for i in range(1, len(self.parent)):
-            children[self.parent[i]].append(i)
-        return children
-
 
 def _breadth_first(adj: list[list[int]], root: int, visited: list[bool]) -> RootedTree:
     """Breadth-first search from ``root`` over unvisited vertices, marking them."""

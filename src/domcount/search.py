@@ -40,8 +40,8 @@ import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domination import MDS_LEAF, _fold, _mds_merge, _pick_min
-from .forest import Forest, classify_vertices, pendant_two_paths, root_at
+from .domination import MDS_LEAF, _mds_containing, _mds_merge, _pick_min
+from .forest import Forest, classify_vertices, pendant_two_paths
 from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_merge, _pick_max
 from .limits import search_max_order
 from .treegen import CanonicalCode, block_starts, block_trees
@@ -160,16 +160,6 @@ class DiagnosticsReport:
         return max(c.gap for c in self.configurations)
 
 
-# The MDS leaf record with the vertex forced into the set: sigma0 only.
-_MDS_IN = (1, 1, None, 0, None, 0)
-
-
-def _mds_size(parent: list[int], records: list) -> int:
-    """Size of a smallest dominating set, folding from these leaf records."""
-    z0, c0, z1, c1, _, _ = _fold(parent, records, _mds_merge)[0]
-    return _pick_min(z0, c0, z1, c1)[0]
-
-
 def extremal_diagnostics(forest: Forest) -> DiagnosticsReport:
     """Structural sanity checks expected of count-maximizing trees.
 
@@ -181,12 +171,9 @@ def extremal_diagnostics(forest: Forest) -> DiagnosticsReport:
     """
     if forest.component_count != 1:
         raise ValueError("diagnostics expect a single tree component")
-    tree = root_at(forest, 0)
-    leaves = [MDS_LEAF] * forest.n
-    gamma = _mds_size(tree.parent, leaves[:])
-    endvertices = classify_vertices(forest).endvertices
-    uncovered = tuple(sorted(v for i, v in enumerate(tree.order) if v in endvertices
-                             and _mds_size(tree.parent, [*leaves[:i], _MDS_IN, *leaves[i + 1:]]) > gamma))
+    gamma = _mds_containing(forest, ())[0]
+    uncovered = tuple(sorted(v for v in classify_vertices(forest).endvertices
+                             if _mds_containing(forest, (v,))[0] > gamma))
     configurations = []
     for x in range(forest.n):
         parts = []

@@ -17,7 +17,10 @@ are the enumerators as they were before they folded set families through
 the counters' merges: a memoised top-down recursion over the package's
 ``mds_table`` and ``mis_table``.  ``scanned_min_dominating_sets`` and
 ``scanned_max_independent_sets`` share nothing with the package: they
-scan vertex subsets.
+scan vertex subsets.  ``enumerated_local_partition`` is
+``local_mds_partition`` as it was before it counted with forced folds:
+it lists every minimum dominating set, projects the chain vertices away
+and removes duplicates.
 """
 
 from collections import Counter
@@ -26,9 +29,9 @@ from itertools import combinations, permutations, product
 from math import factorial
 from operator import or_
 
-from domcount.domination import count_min_dominating_sets, mds_table
-from domcount.forest import root_at
-from domcount.family import TableRow, closed_form_count
+from domcount.domination import count_min_dominating_sets, enumerate_min_dominating_sets, mds_table
+from domcount.forest import pendant_two_paths, root_at
+from domcount.family import LocalPartition, TableRow, closed_form_count
 from domcount.independence import count_max_independent_sets, is_subdivided_star, mis_table
 from domcount.search import TreeRow, verify_mds_bound, verify_mis_bound
 from domcount.treegen import CanonicalCode
@@ -141,6 +144,25 @@ def optimize_k_scan(gamma):
                     table_interpretation_value=best_value - (1 << (gamma - 1)))
 
 
+def enumerated_local_partition(forest, w1, w2, x):
+    """Minimum dominating sets by their trace on {w1, w2, x}, counted as
+    distinct sets once the pendant-path vertices below both hubs are
+    removed; the hubs must carry pendant 2-paths only."""
+    chains1 = pendant_two_paths(forest, w1, x)
+    chains2 = pendant_two_paths(forest, w2, x)
+    masked = {v for pair in chains1 + chains2 for v in pair}
+    labels = {w1: "w1", w2: "w2", x: "x"}
+    buckets = {}
+    for dom_set in enumerate_min_dominating_sets(forest):
+        trace = frozenset(labels[v] for v in dom_set if v in labels)
+        buckets.setdefault(trace, set()).add(dom_set - masked)
+    counts = {}
+    for names in ((), ("w1",), ("w2",), ("x",), ("w1", "w2"), ("w1", "x"), ("w2", "x"), ("w1", "w2", "x")):
+        key = frozenset(names)
+        counts[key] = len(buckets.get(key, ()))
+    return LocalPartition(counts=counts, p1=len(chains1), p2=len(chains2))
+
+
 def _next_rooted(levels):
     """Successor of a canonical rooted level sequence (decreasing lex)."""
     p = len(levels) - 1
@@ -186,6 +208,15 @@ def filtered_free_levels(n):
         if _is_center_rooted(levels):
             yield tuple(levels)
         levels = _next_rooted(levels)
+
+
+def child_positions(parent):
+    """The positions of each position's children in a parent array, in
+    increasing order."""
+    children = [[] for _ in parent]
+    for i in range(1, len(parent)):
+        children[parent[i]].append(i)
+    return children
 
 
 def bfs_rooting(forest, root):
@@ -237,7 +268,7 @@ def _recursive_mds_component(tree):
     order = tree.order
     z0, _, z1, _, z2, _ = zip(*mds_table(tree.parent))
     sizes = (z0, z1, z2)
-    children = tree.child_positions()
+    children = child_positions(tree.parent)
     memo = {}
 
     def optimal(i, states):
@@ -277,7 +308,7 @@ def _recursive_mis_component(tree):
     """All maximum independent sets of one rooted component, DP-guided."""
     order = tree.order
     z_in, _, z_out, _ = zip(*mis_table(tree.parent))
-    children = tree.child_positions()
+    children = child_positions(tree.parent)
     memo = {}
 
     def optimal(i):

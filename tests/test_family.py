@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -16,9 +17,9 @@ from domcount.family import (
     optimize_k,
     parse_family_roles,
 )
-from domcount.forest import parse_forest
+from domcount.forest import build_forest, parse_forest
 from domcount.independence import is_subdivided_star
-from oracles import optimize_k_scan
+from oracles import enumerated_local_partition, optimize_k_scan
 
 
 def test_balanced_partition_examples():
@@ -232,6 +233,62 @@ def test_local_partition_properties(parts):
     assert part.p1 == parts[0] and part.p2 == parts[1]
     total = count_min_dominating_sets(tree.forest).mds_count
     assert part.reassembled_total() == total
+
+
+def random_local_configuration(rng, max_order):
+    """A random tree with a vertex x anywhere in it, two hubs at x with 1-3
+    pendant 2-paths each, sometimes other components, labels shuffled.
+    Returns the forest and (w1, w2, x)."""
+    p1, p2 = rng.randint(1, 3), rng.randint(1, 3)
+    rest = max_order - 3 - 2 * (p1 + p2)
+    base = rng.randint(0, rest)
+    edges = [(rng.randrange(v), v) for v in range(1, base + 1)]
+    x, w1, w2 = rng.randint(0, base), base + 1, base + 2
+    edges += [(x, w1), (x, w2)]
+    n = base + 3
+    for hub, chains in ((w1, p1), (w2, p2)):
+        for _ in range(chains):
+            edges += [(hub, n), (n, n + 1)]
+            n += 2
+    if rng.random() < 0.3:
+        extra = rng.randint(1, max_order - n) if n < max_order else 0
+        edges += [(rng.randrange(n, v), v) for v in range(n + 1, n + extra)]
+        n += extra
+    labels = list(range(n))
+    rng.shuffle(labels)
+    forest = build_forest(n, [(labels[u], labels[v]) for u, v in edges])
+    return forest, (labels[w1], labels[w2], labels[x])
+
+
+def assert_partition_matches_enumeration(forest, w1, w2, x):
+    part = local_mds_partition(forest, w1, w2, x)
+    oracle = enumerated_local_partition(forest, w1, w2, x)
+    assert list(part.counts.items()) == list(oracle.counts.items())
+    assert (part.p1, part.p2) == (oracle.p1, oracle.p2)
+
+
+def test_local_partition_matches_enumeration_on_random_configurations():
+    rng = random.Random(11)
+    for _ in range(500):
+        forest, (w1, w2, x) = random_local_configuration(rng, 25)
+        assert forest.n <= 25
+        assert_partition_matches_enumeration(forest, w1, w2, x)
+
+
+def test_local_partition_matches_enumeration_on_family_trees():
+    for gamma in range(3, 13):
+        for k in range(2, gamma):
+            tree = build_family_tree(balanced_partition(gamma, k))
+            if tree.forest.n <= 25:
+                assert_partition_matches_enumeration(tree.forest, tree.hubs[0], tree.hubs[1], tree.x)
+
+
+@pytest.mark.parametrize("parts", [(4, 4, 4), (30, 30, 30)])
+def test_local_partition_above_the_enumeration_cap(parts):
+    tree = build_family_tree(parts)
+    assert tree.forest.n > 25
+    part = local_mds_partition(tree.forest, tree.hubs[0], tree.hubs[1], tree.x)
+    assert part.reassembled_total() == count_min_dominating_sets(tree.forest).mds_count
 
 
 def test_local_partition_rejects_bad_configuration():

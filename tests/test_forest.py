@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oracles import bfs_rooting
+from oracles import bfs_rooting, child_positions
 from strategies import forests
 from domcount.domination import enumerate_min_dominating_sets, mds_table
 from domcount.forest import (
@@ -175,7 +175,7 @@ def test_parent_positions_precede_children(tstar):
         assert 0 <= tree.parent[i] < i
         u, v = sorted((tree.order[i], tree.order[tree.parent[i]]))
         assert (u, v) in tstar.edges
-    assert tree.child_positions()[0] == [i for i in range(1, len(tree.order)) if tree.parent[i] == 0]
+    assert child_positions(tree.parent)[0] == [i for i in range(1, len(tree.order)) if tree.parent[i] == 0]
 
 
 def assert_stored_rootings_are_bfs(forest):

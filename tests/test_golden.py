@@ -3,7 +3,9 @@
 The search and enumeration digests below were recorded from the build
 before the counters' per-child merges were shared between the flat folds
 and the sweep; the demo digests from the build before the sweep kernel
-became one recursion over level slices.  Any change to counts, record
+became one recursion over level slices; the text ``--emit-all`` and the
+row-less CSV search digests from the build before ``search`` wrote its
+rows through one path.  Any change to counts, record
 witnesses, tie-breaks, CSV rows, report text, stderr or exit codes shows
 up here as a digest mismatch.
 """
@@ -32,6 +34,14 @@ SEARCH_GOLDEN = {
     ("--max-order", "12"): (
         "ef6f34cc291141014da6493f93092e65212a336a64a91acde7c6778e113d863b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    # Text with every row: the CSV rows, then the report, all on stdout.
+    ("--max-order", "12", "--emit-all"): (
+        "cfd6966234fd270bedccb1040eedc26f026b007d779a2f240a00bd2ac31b2154",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    # CSV without rows: the header alone on stdout, the report on stderr.
+    ("--max-order", "12", "--format", "csv"): (
+        "5e52fe2767008c3df5bd6f370992502f44bd7e81588049471e4a04e95a7c754b",
+        "ef6f34cc291141014da6493f93092e65212a336a64a91acde7c6778e113d863b", 0),
 }
 
 # Both enumerators on every tree of orders 1..11.

@@ -19,6 +19,7 @@ from domcount.domination import EMPTY_SET, MDS_LEAF, _fold, _mds_merge, _SetFami
 from domcount.forest import build_forest, root_at
 from domcount.independence import MIS_LEAF, _mis_merge, mis_table
 from domcount.treegen import generate_trees
+from oracles import child_positions
 
 # Vertices with more children than this get sampled orders instead of all.
 MAX_PERMUTED = 6
@@ -61,7 +62,7 @@ def check_orders(tree, orders_of):
     """Each vertex's record, refolded from its children's records in each
     order ``orders_of`` gives, equals the table's record, with counts and
     with set families; each family has as many sets as its count says."""
-    orders = [list(orders_of(kids)) for kids in tree.child_positions()]
+    orders = [list(orders_of(kids)) for kids in child_positions(tree.parent)]
     for table, leaf, merge, family_leaf in KINDS:
         def family_merge(acc, child, merge=merge):
             return poisoned(merge(acc, child))
