@@ -31,7 +31,10 @@ counts, so lifting + to the union of disjoint families and * to joining
 one set from each side lists exactly the sets that the counts count.  An
 infeasible state keeps the int count 0, which the merges never read.
 The counter for maximum independent sets enumerates the same way,
-through the shared fold and driver here.
+through the shared fold and driver here.  ``_mds_members`` replaces each
+count by ``_Members`` instead, which keeps only the union of the sets it
+stands for, so one fold says which vertices lie in some minimum
+dominating set.
 
 Counts are exact arbitrary-precision integers throughout.
 """
@@ -152,6 +155,37 @@ def _mds_containing(forest: Forest, forced) -> tuple[int, int]:
 def count_min_dominating_sets(forest: Forest) -> DomResult:
     """Exact domination number and number of minimum dominating sets."""
     return DomResult(*_mds_containing(forest, ()))
+
+
+class _Members:
+    """A count that keeps only which marked vertices occur in the sets it
+    counts, as a bitmask: ``+`` and ``*`` both take the union, since every
+    count the merges read is of a nonempty family."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int):
+        self.mask = mask
+
+    def __add__(self, other: _Members) -> _Members:
+        return _Members(self.mask | other.mask)
+
+    __mul__ = __add__
+
+
+def _mds_members(forest: Forest, marked) -> int:
+    """Bitmask, bit v for vertex v, of the vertices of ``marked`` that lie
+    in at least one minimum dominating set: one fold of the counter's
+    merges with each count replaced by ``_Members``."""
+    unmarked = _Members(0)
+    mask = 0
+    for members in forest.components:
+        tree = root_at(forest, members[0])
+        leaves = [(1, _Members(1 << v) if v in marked else unmarked, None, 0, 0, unmarked)
+                  for v in tree.order]
+        z0, c0, z1, c1, _, _ = _fold(tree.parent, leaves, _mds_merge)[0]
+        mask |= _pick_min(z0, c0, z1, c1)[1].mask
+    return mask
 
 
 class _SetFamily:

@@ -223,6 +223,9 @@ def local_mds_partition(forest: Forest, w1: int, w2: int, x: int) -> LocalPartit
     Each exact count is thus the projected count times the product over
     both hubs of 2^p_i, less one when neither w_i nor x is in T.
     """
+    for name, v in (("w1", w1), ("w2", w2), ("x", x)):
+        if not 0 <= v < forest.n:
+            raise ValueError(f"{name}={v} is not a vertex of this {forest.n}-vertex forest")
     if len({w1, w2, x}) != 3:
         raise ValueError("w1, w2 and x must be three distinct vertices")
     if w2 not in forest.adj[x] or w1 not in forest.adj[x]:

@@ -23,7 +23,9 @@ children are the entries one level below its first, each child's slice
 is looked up in a per-process memo of its (MDS, MIS) root records, and
 the records are merged with the counters' own ``_mds_merge`` and
 ``_mis_merge``.  No ``Forest`` is built per tree; only the per-gamma
-record witnesses are decoded, for their diagnostics.
+record witnesses are decoded, for their diagnostics.  Rows are
+``TreeRow`` NamedTuples, so a block's rows travel back to the parent
+pickled as plain tuples behind one reference to the class.
 
 The parent folds the returned rows in block order, which is stream order:
 orders ascend, blocks follow the generator, and codes strictly increase
@@ -39,8 +41,9 @@ import functools
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .domination import MDS_LEAF, _mds_containing, _mds_merge, _pick_min
+from .domination import MDS_LEAF, _mds_members, _mds_merge, _pick_min
 from .forest import Forest, classify_vertices, pendant_two_paths
 from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_merge, _pick_max
 from .limits import search_max_order
@@ -164,16 +167,16 @@ def extremal_diagnostics(forest: Forest) -> DiagnosticsReport:
     """Structural sanity checks expected of count-maximizing trees.
 
     (1) every endvertex should appear in at least one minimum dominating
-    set, i.e. the fold with that vertex forced into the set still reaches
-    gamma; (2) wherever two or more neighbors of a common vertex hang whole
+    set, read off one fold that carries the endvertices of each state's
+    optimal sets; (2) wherever two or more neighbors of a common vertex hang whole
     bundles of pendant 2-paths, the bundle sizes should differ by at most
     one.  Both are reported, never enforced.
     """
     if forest.component_count != 1:
         raise ValueError("diagnostics expect a single tree component")
-    gamma = _mds_containing(forest, ())[0]
-    uncovered = tuple(sorted(v for v in classify_vertices(forest).endvertices
-                             if _mds_containing(forest, (v,))[0] > gamma))
+    endvertices = classify_vertices(forest).endvertices
+    covered = _mds_members(forest, endvertices)
+    uncovered = tuple(sorted(v for v in endvertices if not covered >> v & 1))
     configurations = []
     for x in range(forest.n):
         parts = []
@@ -198,8 +201,7 @@ class ExtremalRecord:
     witness_order: int
 
 
-@dataclass(frozen=True)
-class TreeRow:
+class TreeRow(NamedTuple):
     order: int
     code: str
     gamma: int

@@ -40,8 +40,31 @@ sequence is a valid canonical rooted sequence: the root's first subtree is
 the old one less its last vertex, still canonical, followed by a leaf,
 which is the smallest possible sibling and the whole rest of its block.
 
+A first subtree can also be too big for its tree.  Let d be its depth
+(its levels start 1, 2, ..., d) and ``budget = n - d``.  To reach depth
+d - 1 the rest of the tree needs d - 1 vertices besides the root, so a
+first subtree of more than ``budget`` vertices leaves the root off
+center, and the block is rejected.  The walk then skips ahead.  No
+sequence it visits is larger than the centrally rooted path it starts
+from, so d <= n // 2 <= ``budget``, and the first ``budget`` vertices
+after the root hold the whole path 1..d.  The sequences that follow,
+down to the first whose root's first subtree is exactly positions
+1..budget, keep ``levels[:budget + 1]`` and have a level of at least 2
+at position ``budget + 1``: their first subtrees have depth at least d
+and more than ``budget`` vertices.  The block that first subtree starts
+is rejected too: its rest has only d - 1 vertices besides the root, so
+it reaches depth d - 1 only as a path, and then it has d vertices with
+the root, no more than the first subtree's ``budget``.  On equal sizes
+both halves are paths; that is the centrally rooted path the walk starts
+from, which is larger than any sequence it jumps from.  So the walk
+jumps to the end of that block, as if the first subtree ended at
+position ``budget``.  At order 18 this cuts the walk's canonicity tests
+from 305,951 to 5,374, one more than the 5,373 blocks that hold a free
+tree.
+
 Correctness is not taken on faith: the test suite checks the stream, and
-the concatenated block slices, against the generator without either skip,
+the concatenated block slices, against the generator without any skip,
+the block starts against the walk without the size jump,
 an independent labeled-tree oracle, OEIS A000055 and an
 automorphism-weighted count identity.
 
@@ -76,18 +99,12 @@ class CanonicalCode:
 
     def parents(self) -> tuple[int, ...]:
         """Parent index of vertices 1..n-1 in canonical preorder."""
-        parents = []
-        stack: list[int] = []
-        for i, level in enumerate(self.levels):
-            while len(stack) > level:
-                stack.pop()
-            if stack:
-                parents.append(stack[-1])
-            stack.append(i)
-        return tuple(parents)
+        return tuple(_parent_names(self.levels, range(self.n)))
 
     def to_string(self) -> str:
-        return " ".join(["c", str(self.n), *map(str, self.parents())])
+        n = self.n
+        names = _INT_STRINGS if n <= len(_INT_STRINGS) else tuple(map(str, range(n)))
+        return " ".join(["c", str(n), *_parent_names(self.levels, names)])
 
     @classmethod
     def from_string(cls, text: str) -> "CanonicalCode":
@@ -134,6 +151,29 @@ class CanonicalCode:
                       rooted={0: RootedTree(order=vertices, parent=[-1, *parents])})
 
 
+# Decimal strings of the vertex ids that most codes use; to_string looks
+# them up instead of formatting each parent id.
+_INT_STRINGS = tuple(map(str, range(256)))
+
+
+def _parent_names(levels, names) -> list:
+    """``names[p]`` for the parent p of each vertex 1..n-1, in preorder.
+
+    One scan keeps the last vertex seen at each level; a vertex's parent
+    is the last one a level above it.  Vertex 0 is the root.  An entry at
+    level 0 after the first has no parent, so levels with several roots
+    give fewer than n-1 parents.
+    """
+    last = [0] * len(levels)
+    out = []
+    for i in range(1, len(levels)):
+        level = levels[i]
+        if level:
+            out.append(names[last[level - 1]])
+        last[level] = i
+    return out
+
+
 def _first_subtree_end(levels) -> int:
     """Position just past the root's first subtree: its second child, or n.
 
@@ -165,8 +205,9 @@ def block_starts(n: int) -> Iterator[tuple[int, ...]]:
     free tree, in stream order.
 
     Each block is visited once: its first sequence is tested, then the
-    walk jumps to the block's end.  Sequences whose root has a single child
-    are skipped untested.
+    walk jumps to the block's end.  Sequences whose root has a single child,
+    and runs of blocks whose first subtree is too big for the tree, are
+    skipped untested.
     """
     if n < 1:
         raise ValueError(f"order must be at least 1, got {n}")
@@ -182,7 +223,13 @@ def block_starts(n: int) -> Iterator[tuple[int, ...]]:
             # rejected, and that sequence starts a block of its own.
             levels[-1] = 1
             m = n - 1
-        if _is_free_canonical(levels, m):
+        budget = n - max(levels[1:m])
+        if m - 1 > budget:
+            # Too big a first subtree: every block down to the end of the
+            # one whose first subtree is the first ``budget`` vertices is
+            # rejected, so jump to that block's end.
+            m = budget + 1
+        elif _is_free_canonical(levels, m):
             yield tuple(levels)
         # Jump to the last sequence of this block: the rest of the tree
         # becomes leaves under the root.

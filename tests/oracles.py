@@ -10,8 +10,11 @@ k, not the closed form, so it evaluates the package's exact
 per-tree map as it was before the level-sequence kernel, one decoded
 ``Forest`` and the public counters per tree.
 ``filtered_free_levels`` is the generator without the block skip: it
-tests every rooted sequence for canonicity.  ``bfs_rooting`` is the
-breadth-first rooting the counters used before every forest kept its own.
+tests every rooted sequence for canonicity.  ``stepwise_block_starts`` is
+the block walk without its jump past oversized first subtrees, and
+``stack_parents`` reads parents off a level sequence with a stack.
+``bfs_rooting`` is the breadth-first rooting the counters used before
+every forest kept its own.
 ``recursive_min_dominating_sets`` and ``recursive_max_independent_sets``
 are the enumerators as they were before they folded set families through
 the counters' merges: a memoised top-down recursion over the package's
@@ -34,7 +37,7 @@ from domcount.forest import pendant_two_paths, root_at
 from domcount.family import LocalPartition, TableRow, closed_form_count
 from domcount.independence import count_max_independent_sets, is_subdivided_star, mis_table
 from domcount.search import TreeRow, verify_mds_bound, verify_mis_bound
-from domcount.treegen import CanonicalCode
+from domcount.treegen import CanonicalCode, _first_subtree_end, _is_free_canonical, _rooted_successor
 
 
 def labeled_parent_trees(n):
@@ -208,6 +211,41 @@ def filtered_free_levels(n):
         if _is_center_rooted(levels):
             yield tuple(levels)
         levels = _next_rooted(levels)
+
+
+def stepwise_block_starts(n):
+    """``treegen.block_starts`` as it was before it jumped past first
+    subtrees too big for their tree: it tests the first sequence of every
+    block with more than one root child."""
+    if n <= 2:
+        yield tuple(range(n))
+        return
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = _first_subtree_end(levels)
+        if m == n:
+            levels[-1] = 1
+            m = n - 1
+        if _is_free_canonical(levels, m):
+            yield tuple(levels)
+        levels[m:] = [1] * (n - m)
+        if not _rooted_successor(levels, m - 1, 0):
+            return
+
+
+def stack_parents(levels):
+    """Parent index of vertices 1..n-1 of a level sequence, from a stack of
+    the current root path (``CanonicalCode.parents`` before its one-pass
+    scan)."""
+    parents = []
+    stack = []
+    for i, level in enumerate(levels):
+        while len(stack) > level:
+            stack.pop()
+        if stack:
+            parents.append(stack[-1])
+        stack.append(i)
+    return tuple(parents)
 
 
 def child_positions(parent):

@@ -304,6 +304,15 @@ def test_local_partition_rejects_bad_configuration():
         local_mds_partition(forest, tree.hubs[0], tree.x, tree.hubs[1])
 
 
+@pytest.mark.parametrize("bad", [99, -1])
+def test_local_partition_rejects_vertex_ids_out_of_range(bad):
+    tree = build_family_tree((2, 2))
+    w1, w2, x = tree.hubs[0], tree.hubs[1], tree.x
+    for args in ((w1, w2, bad), (bad, w2, x), (w1, bad, x)):
+        with pytest.raises(ValueError, match=f"{bad} is not a vertex"):
+            local_mds_partition(tree.forest, *args)
+
+
 def test_growth_trend_rows():
     rows = growth_trend([2, 10, 100])
     assert rows[0].best_k == 1 and rows[0].formula_value == 4

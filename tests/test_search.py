@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from domcount import search
-from domcount.domination import count_min_dominating_sets, enumerate_min_dominating_sets, mds_table
+from domcount.domination import (
+    _mds_containing,
+    count_min_dominating_sets,
+    enumerate_min_dominating_sets,
+    mds_table,
+)
 from domcount.family import build_family_tree
 from domcount.forest import build_forest, classify_vertices, path, spider, star
 from domcount.independence import SpiderShape, count_max_independent_sets, is_subdivided_star, mis_table
@@ -163,6 +168,29 @@ def test_diagnostics_above_the_enumeration_cap(monkeypatch):
     monkeypatch.setenv("DOMCOUNT_MAX_ORDER", "40")
     for forest, report in zip(trees, reports):
         assert report.uncovered_endvertices == enumerated_uncovered(forest)
+
+
+def forced_fold_uncovered(forest):
+    """Endvertices whose forced-in fold misses gamma, one fold each."""
+    gamma = _mds_containing(forest, ())[0]
+    return tuple(sorted(v for v in classify_vertices(forest).endvertices
+                        if _mds_containing(forest, (v,))[0] > gamma))
+
+
+def test_diagnostics_coverage_matches_forced_folds():
+    rng = random.Random(14)
+    trees = [build_family_tree((4, 4, 4)).forest]
+    for n in range(1, 15):
+        for code in generate_trees(n):
+            trees += [code.decode(), relabeled(code.decode(), rng)]
+    for forest in trees:
+        assert extremal_diagnostics(forest).uncovered_endvertices == forced_fold_uncovered(forest)
+
+
+def test_diagnostics_on_a_wide_star():
+    # One fold covers all 4,000 leaves; a forced fold per leaf would be
+    # quadratic in the order.
+    assert extremal_diagnostics(star(4000)).uncovered_endvertices == tuple(range(1, 4001))
 
 
 def test_diagnostics_requires_tree():

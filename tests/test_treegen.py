@@ -13,6 +13,8 @@ from oracles import (
     free_key,
     iso_class_count,
     labeled_tree_total,
+    stack_parents,
+    stepwise_block_starts,
 )
 from strategies import labeled_trees
 from domcount.forest import ForestError, build_forest, path, spider, star
@@ -80,22 +82,42 @@ def test_block_slices_concatenate_to_stream():
             assert {first_subtree(levels) for levels in block} == {head}
 
 
-def test_generator_skips_rejected_blocks(monkeypatch):
-    # Canonicity tests made at order 16: one per first-subtree block and one
-    # per further tree of an accepted block.  Without the block skip and the
-    # single-root-child jump the generator makes one per rooted sequence,
-    # 185,032 of them.
-    calls = 0
+def test_block_starts_match_stepwise_walk():
+    # The jump past oversized first subtrees must not change the block
+    # starts: compare with the walk that tests every block.
+    for n in range(1, 18):
+        assert list(block_starts(n)) == list(stepwise_block_starts(n))
+
+
+def counted_canonicity_tests(monkeypatch):
+    calls = [0]
     test = treegen_module._is_free_canonical
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return test(*args)
 
     monkeypatch.setattr(treegen_module, "_is_free_canonical", counting)
+    return calls
+
+
+def test_generator_skips_rejected_blocks(monkeypatch):
+    # Canonicity tests made at order 16: one per block the walk does not
+    # jump over and one per further tree of an accepted block.  Without
+    # any skip the generator makes one per rooted sequence, 185,032 of
+    # them; without the jump past oversized first subtrees, 59,805.
+    calls = counted_canonicity_tests(monkeypatch)
     assert sum(1 for _ in generate_trees(16)) == 19320
-    assert calls <= 59_805
+    assert calls[0] <= 20_543
+
+
+def test_block_walk_skips_oversized_first_subtrees(monkeypatch):
+    # 5,373 blocks of order 18 hold free trees; the walk that tests every
+    # block makes 305,951 tests to find them, and this one rejects a single
+    # block.
+    calls = counted_canonicity_tests(monkeypatch)
+    assert sum(1 for _ in block_starts(18)) == 5373
+    assert calls[0] <= 5_374
 
 
 def forest_fields(forest):
@@ -216,6 +238,17 @@ def test_code_string_rejects_garbage():
 def test_code_string_errors_name_the_fault(text, message):
     with pytest.raises(ValueError, match=message):
         CanonicalCode.from_string(text)
+
+
+def test_parents_and_code_string_match_stack_oracle():
+    codes = [code for n in range(1, 17) for code in generate_trees(n)]
+    # Orders, and on the path parent ids, past the table of small-int strings.
+    codes += [canonical_code(path(2000)), canonical_code(star(1999))]
+    for code in codes:
+        parents = stack_parents(code.levels)
+        assert code.parents() == parents
+        assert code.to_string() == " ".join(["c", str(code.n), *map(str, parents)])
+    assert max(codes[-2].parents()) > 255
 
 
 def test_parent_indices_precede_children():
