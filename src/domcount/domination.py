@@ -24,17 +24,20 @@ unconstrained one and subtraction would lose those sets.  A vertex
 forced into the set starts from the sigma0-only leaf ``_MDS_IN``, and the
 counter is ``_mds_containing`` with no vertex forced.
 
-Enumeration is the same fold over the same merge with each count
-replaced by a ``_SetFamily``, the family of optimal sets of that state as
-vertex bitmasks.  The merges only compare sizes and add or multiply
-counts, so lifting + to the union of disjoint families and * to joining
-one set from each side lists exactly the sets that the counts count.  An
-infeasible state keeps the int count 0, which the merges never read.
-The counter for maximum independent sets enumerates the same way,
-through the shared fold and driver here.  ``_mds_members`` replaces each
-count by ``_Members`` instead, which keeps only the union of the sets it
-stands for, so one fold says which vertices lie in some minimum
-dominating set.
+Every fold of a whole forest, for both counters here and in
+``independence``, runs through one driver, ``_fold_forest``.  It roots
+each component, folds a merge over the given leaf records, picks the
+root's optimum and combines components: sizes add and values multiply.
+Callers differ only in their leaf records, which choose the values:
+counts and forced counts (ints; a forced vertex's leaf is ``_MDS_IN``),
+member masks (``_Members``, whose + and * both take the union of the
+sets counted, so one fold says which vertices lie in some minimum
+dominating set) and set families (``_SetFamily``, vertex bitmasks whose
++ is the union of disjoint families and * joins one set from each side
+in every way; both enumerators).  The merges only compare sizes and add
+or multiply counts, so lifting them this way gives exactly the sets
+that the counts count.  An infeasible state keeps the int count 0,
+which the merges never read.
 
 Counts are exact arbitrary-precision integers throughout.
 """
@@ -46,7 +49,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .forest import Forest, RootedTree, root_at
+from .forest import Forest, root_at
 from .limits import oracle_max_order
 
 
@@ -132,24 +135,30 @@ def domination_number(forest: Forest) -> int:
     return count_min_dominating_sets(forest).gamma
 
 
-def _mds_containing(forest: Forest, forced) -> tuple[int, int]:
-    """Size and number of the smallest dominating sets of ``forest`` that
-    contain every vertex of ``forced``.  Sizes add over components and
-    counts multiply, so the empty forest has one set, of size 0."""
+def _fold_forest(forest: Forest, leaves, merge, pick, one=1) -> tuple:
+    """Size and value of the optimal sets of ``forest``.  Each component is
+    rooted at its least vertex, ``merge`` folds over ``leaves(order)`` (the
+    leaf records in rooted order), and ``pick`` chooses from the first four
+    fields of the root's record.  Sizes add over components and values
+    multiply, starting from ``one``, so the empty forest gives (0, one)."""
     size = 0
-    count = 1
+    value = one
     for members in forest.components:
         tree = root_at(forest, members[0])
-        leaves = [MDS_LEAF] * len(tree.order)
-        if forced:
-            for i, v in enumerate(tree.order):
-                if v in forced:
-                    leaves[i] = _MDS_IN
-        z0, c0, z1, c1, _, _ = _fold(tree.parent, leaves, _mds_merge)[0]
-        least, number = _pick_min(z0, c0, z1, c1)
+        root = _fold(tree.parent, leaves(tree.order), merge)[0]
+        least, number = pick(*root[:4])
         size += least
-        count *= number
-    return size, count
+        value *= number
+    return size, value
+
+
+def _mds_containing(forest: Forest, forced) -> tuple[int, int]:
+    """Size and number of the smallest dominating sets of ``forest`` that
+    contain every vertex of ``forced``."""
+    if forced:
+        return _fold_forest(forest, lambda order: [_MDS_IN if v in forced else MDS_LEAF for v in order],
+                            _mds_merge, _pick_min)
+    return _fold_forest(forest, lambda order: [MDS_LEAF] * len(order), _mds_merge, _pick_min)
 
 
 def count_min_dominating_sets(forest: Forest) -> DomResult:
@@ -178,14 +187,9 @@ def _mds_members(forest: Forest, marked) -> int:
     in at least one minimum dominating set: one fold of the counter's
     merges with each count replaced by ``_Members``."""
     unmarked = _Members(0)
-    mask = 0
-    for members in forest.components:
-        tree = root_at(forest, members[0])
-        leaves = [(1, _Members(1 << v) if v in marked else unmarked, None, 0, 0, unmarked)
-                  for v in tree.order]
-        z0, c0, z1, c1, _, _ = _fold(tree.parent, leaves, _mds_merge)[0]
-        mask |= _pick_min(z0, c0, z1, c1)[1].mask
-    return mask
+    return _fold_forest(forest, lambda order: [(1, _Members(1 << v) if v in marked else unmarked,
+                                                None, 0, 0, unmarked) for v in order],
+                        _mds_merge, _pick_min, unmarked)[1].mask
 
 
 class _SetFamily:
@@ -214,15 +218,6 @@ class _SetFamily:
 EMPTY_SET = _SetFamily([0])
 
 
-def _mds_family(tree: RootedTree, top: int) -> _SetFamily:
-    """The minimum dominating sets of one rooted component, vertex v as
-    bit ``top - v``."""
-    records = _fold(tree.parent, [(1, _SetFamily([1 << (top - v)]), None, 0, 0, EMPTY_SET)
-                                  for v in tree.order], _mds_merge)
-    z0, c0, z1, c1, _, _ = records[0]
-    return _pick_min(z0, c0, z1, c1)[1]
-
-
 @functools.cache
 def _byte_sets(j: int) -> tuple[frozenset[int], ...]:
     """Byte j of a big-endian set mask, by value, as vertices 8j..8j+7."""
@@ -230,18 +225,19 @@ def _byte_sets(j: int) -> tuple[frozenset[int], ...]:
                  for x in range(256))
 
 
-def _enumerate_sets(forest: Forest, component_family, limit: int | None) -> list[frozenset[int]]:
-    """Every union of one set per component, ordered by sorted vertex
-    lists and truncated to ``limit`` entries when given.
+def _enumerate_sets(forest: Forest, leaves, merge, pick, limit: int | None) -> list[frozenset[int]]:
+    """Every optimal set of ``forest``, ordered by sorted vertex lists and
+    truncated to ``limit`` entries when given.
 
-    ``component_family(tree, top)`` gives the optimal sets of one rooted
-    component with vertex v as bit ``top - v``; ``top + 1`` is the order
-    rounded up to whole bytes, so each byte of a mask is looked up as a
-    presized frozenset and the set is their union.  Every set has the same
-    size, and among sets of one size the order of sorted vertex lists is
-    the decreasing order of these masks.  A negative ``limit`` is
-    rejected, and so is a forest above the oracle order cap, since output
-    size can grow exponentially.
+    ``merge`` and ``pick`` are a counter's; ``leaves(singles)`` gives the
+    leaf records of a component's vertices with ``singles``, the family of
+    each vertex alone, in place of their counts.  Vertex v is bit
+    ``top - v``; ``top + 1`` is the order rounded up to whole bytes, so
+    each byte of a mask is looked up as a presized frozenset and the set
+    is their union.  Every set has the same size, and among sets of one
+    size the order of sorted vertex lists is the decreasing order of
+    these masks.  A negative ``limit`` is rejected, and so is a forest
+    above the oracle order cap, since output size can grow exponentially.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
@@ -250,18 +246,18 @@ def _enumerate_sets(forest: Forest, component_family, limit: int | None) -> list
         raise ValueError(f"enumeration capped at order {guard}, got {forest.n}")
     width = max(1, (forest.n + 7) // 8)
     top = 8 * width - 1
-    combined = EMPTY_SET
-    for members in forest.components:
-        combined *= component_family(root_at(forest, members[0]), top)
+    family = _fold_forest(forest, lambda order: leaves([_SetFamily([1 << (top - v)]) for v in order]),
+                          merge, pick, EMPTY_SET)[1]
     pieces = [_byte_sets(j) for j in range(width)]
     return [functools.reduce(operator.or_, map(operator.getitem, pieces, m.to_bytes(width, "big")))
-            for m in sorted(combined.masks, reverse=True)[:limit]]
+            for m in sorted(family.masks, reverse=True)[:limit]]
 
 
 def enumerate_min_dominating_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
     """All minimum dominating sets, ordered by their sorted vertex lists and
     truncated to ``limit`` entries when given (see ``_enumerate_sets``)."""
-    return _enumerate_sets(forest, _mds_family, limit)
+    return _enumerate_sets(forest, lambda singles: [(1, s, None, 0, 0, EMPTY_SET) for s in singles],
+                           _mds_merge, _pick_min, limit)
 
 
 def brute_force_domination(forest: Forest) -> DomResult:

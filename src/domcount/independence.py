@@ -4,10 +4,12 @@ Mirrors the domination counter with a two-state (max, count) fold over the
 same flat rooting: per vertex either IN (in the independent set, children
 must be OUT) or OUT (children free).  ``_mis_merge`` merges one child's
 (z_in, c_in, z_out, c_out) record into its parent's, for the fold and for
-the exhaustive sweep's kernel alike; enumeration folds the same merge
-over set families in place of counts.  Also ships the structural recognizer
-for the trees that meet the 2^(alpha-1)+1 count with equality: a star with
-all but one edge subdivided once.
+the exhaustive sweep's kernel alike.  The counter and the enumerator run
+the forest driver of ``domination`` (``_fold_forest``) with this merge
+and ``_pick_max``, with int counts or with set families in place of
+counts.  Also ships the structural recognizer for the trees that meet the
+2^(alpha-1)+1 count with equality: a star with all but one edge
+subdivided once.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .domination import EMPTY_SET, _enumerate_sets, _fold, _SetFamily
-from .forest import Forest, RootedTree, root_at
+from .domination import EMPTY_SET, _enumerate_sets, _fold, _fold_forest
+from .forest import Forest
+# The counters here fold through ``domination``, but perfbench's traced runs
+# patch ``root_at`` by name on this module too, so it stays importable here.
+from .forest import root_at  # noqa: F401
 from .limits import oracle_max_order
 
 
@@ -63,30 +68,15 @@ def independence_number(forest: Forest) -> int:
 
 
 def count_max_independent_sets(forest: Forest) -> IndResult:
-    """Exact independence number and number of maximum independent sets;
-    sizes add and counts multiply over components."""
-    alpha = 0
-    count = 1
-    for members in forest.components:
-        z_in, c_in, z_out, c_out = mis_table(root_at(forest, members[0]).parent)[0]
-        size, number = _pick_max(z_in, c_in, z_out, c_out)
-        alpha += size
-        count *= number
-    return IndResult(alpha, count)
-
-
-def _mis_family(tree: RootedTree, top: int) -> _SetFamily:
-    """The maximum independent sets of one rooted component, vertex v as
-    bit ``top - v``."""
-    records = _fold(tree.parent, [(1, _SetFamily([1 << (top - v)]), 0, EMPTY_SET) for v in tree.order],
-                    _mis_merge)
-    return _pick_max(*records[0])[1]
+    """Exact independence number and number of maximum independent sets."""
+    return IndResult(*_fold_forest(forest, lambda order: [MIS_LEAF] * len(order), _mis_merge, _pick_max))
 
 
 def enumerate_max_independent_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:
     """All maximum independent sets, ordered by their sorted vertex lists and
     truncated to ``limit`` entries when given (see ``_enumerate_sets``)."""
-    return _enumerate_sets(forest, _mis_family, limit)
+    return _enumerate_sets(forest, lambda singles: [(1, s, 0, EMPTY_SET) for s in singles], _mis_merge, _pick_max,
+                           limit)
 
 
 def brute_force_independence(forest: Forest) -> IndResult:

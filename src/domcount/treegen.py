@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator
 
-from .forest import Forest, RootedTree, build_forest
+from .forest import Forest, RootedTree
 
 
 @total_ordering
@@ -98,10 +98,23 @@ class CanonicalCode:
         return self._key() < other._key()
 
     def parents(self) -> tuple[int, ...]:
-        """Parent index of vertices 1..n-1 in canonical preorder."""
-        return tuple(_parent_names(self.levels, range(self.n)))
+        """Parent index of vertices 1..n-1 in canonical preorder.  A tree's
+        levels start with 0 and each later one lies in 1..previous + 1;
+        other levels raise ``ValueError`` naming the first bad position."""
+        levels = self.levels
+        if not levels:
+            raise ValueError("level sequence is empty")
+        low = high = 0
+        for i, level in enumerate(levels):
+            if not low <= level <= high:
+                raise ValueError(f"level {level} at position {i} is outside {low}..{high}")
+            low, high = 1, level + 1
+        return tuple(_parent_names(levels, range(self.n)))
 
     def to_string(self) -> str:
+        """``c n`` and the parents of vertices 1..n-1.  Expects a tree's
+        levels and, unlike ``parents``, does not check them: the exhaustive
+        sweep writes the code of every tree."""
         n = self.n
         names = _INT_STRINGS if n <= len(_INT_STRINGS) else tuple(map(str, range(n)))
         return " ".join(["c", str(n), *_parent_names(self.levels, names)])
@@ -134,13 +147,11 @@ class CanonicalCode:
         Every parent precedes its child and children are appended in
         increasing order, so each adjacency list comes out sorted, as
         ``build_forest`` would leave it.  The preorder itself is kept as
-        the tree's rooting at vertex 0.  Levels that do not describe a
-        tree (fewer than n-1 parents) go through ``build_forest``.
+        the tree's rooting at vertex 0.  Levels that are not a tree's
+        raise ``ValueError`` (see ``parents``).
         """
         n = self.n
         parents = self.parents()
-        if len(parents) != n - 1:
-            return build_forest(n, [(p, child) for child, p in enumerate(parents, start=1)])
         adj: list[list[int]] = [[] for _ in range(n)]
         for child, p in enumerate(parents, start=1):
             adj[p].append(child)
@@ -160,16 +171,14 @@ def _parent_names(levels, names) -> list:
     """``names[p]`` for the parent p of each vertex 1..n-1, in preorder.
 
     One scan keeps the last vertex seen at each level; a vertex's parent
-    is the last one a level above it.  Vertex 0 is the root.  An entry at
-    level 0 after the first has no parent, so levels with several roots
-    give fewer than n-1 parents.
+    is the last one a level above it.  Vertex 0 is the root.  ``levels``
+    must be a tree's; ``CanonicalCode.parents`` checks them.
     """
     last = [0] * len(levels)
     out = []
     for i in range(1, len(levels)):
         level = levels[i]
-        if level:
-            out.append(names[last[level - 1]])
+        out.append(names[last[level - 1]])
         last[level] = i
     return out
 

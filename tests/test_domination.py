@@ -1,10 +1,17 @@
+from functools import reduce
+from operator import or_
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import forests, labeled_trees
+from oracles import scanned_min_dominating_sets
+from strategies import forests, labeled_trees, shuffled_forests
 from domcount.domination import (
     MDS_LEAF,
     DomResult,
+    _mds_containing,
+    _mds_members,
     brute_force_domination,
     count_min_dominating_sets,
     domination_number,
@@ -174,3 +181,30 @@ def test_multiplicativity_over_components(forest):
 @given(labeled_trees(max_order=9))
 def test_dp_matches_brute_force_random(tree):
     assert count_min_dominating_sets(tree) == brute_force_domination(tree)
+
+
+def check_members_and_forced_counts(forest, forced):
+    # The driver's non-count values against a subset scan: the union of the
+    # minimum dominating sets, and how many of them contain ``forced``.
+    sets = scanned_min_dominating_sets(forest.n, forest.adj)
+    gamma = len(sets[0])
+    union = reduce(or_, (1 << v for s in sets for v in s), 0)
+    assert _mds_members(forest, range(forest.n)) == union
+    containing = sum(forced <= s for s in sets)
+    size, count = _mds_containing(forest, forced)
+    if containing:
+        assert (size, count) == (gamma, containing)
+    else:
+        assert size > gamma
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_forests(), st.data())
+def test_members_and_forced_counts_on_shuffled_forests(forest, data):
+    forced = data.draw(st.frozensets(st.integers(0, forest.n - 1), max_size=4))
+    check_members_and_forced_counts(forest, forced)
+
+
+def test_members_and_forced_counts_on_the_empty_forest():
+    # One set, the empty one: size 0, count 1, no members.
+    check_members_and_forced_counts(build_forest(0, []), frozenset())

@@ -5,7 +5,8 @@ before the counters' per-child merges were shared between the flat folds
 and the sweep; the demo digests from the build before the sweep kernel
 became one recursion over level slices; the text ``--emit-all`` and the
 row-less CSV search digests from the build before ``search`` wrote its
-rows through one path.  Any change to counts, record
+rows through one path; the forest command digests from the build before
+every fold combined its components through one driver.  Any change to counts, record
 witnesses, tie-breaks, CSV rows, report text, stderr or exit codes shows
 up here as a digest mismatch.
 """
@@ -87,3 +88,73 @@ def test_demo_output_is_unchanged(demo):
     done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                           env=env, capture_output=True, text=True, check=True)
     assert sha256(done.stdout) == DEMO_GOLDEN[demo]
+
+
+# Eight components with interleaved labels: the paths on 5, 2 and 3
+# vertices, a star with 4 leaves, the spider (2, 2, 1) and three isolated
+# vertices (8, 16, 19).
+FOREST = """n 24
+0 13
+1 11
+1 18
+2 13
+3 11
+3 23
+4 7
+5 21
+6 13
+9 21
+10 22
+11 20
+12 14
+12 17
+13 15
+14 22
+"""
+
+# stdout, stderr and exit code of each command; "FOREST" stands for the
+# path of a file holding FOREST.  No command writes to stderr.
+FOREST_GOLDEN = {
+    ("count", "--input", "FOREST"): (
+        "773db88ae6dcbf7e9b73bf95e1291a5ac2c78b2dbf462937c3ee240b21429acc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("count", "--input", "FOREST", "--format", "csv"): (
+        "1cd6676bbc1ddbecdd19f01a7c06305689d67c2699b6363f6ade93c42ecf2dd0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("enumerate", "--input", "FOREST", "--set", "mds"): (
+        "7d35a2391db27fdfbde12026db3ef66c7922dd642703fdc8944cbdf2bccc4792",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("enumerate", "--input", "FOREST", "--set", "mds", "--limit", "3"): (
+        "da2d7a3a0c79690456a955d62ddd6b5d06d8931dd4fb3d66857e8d5fb9e51617",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("enumerate", "--input", "FOREST", "--set", "mds", "--format", "csv"): (
+        "8caabd7bfd5b0f70dbdc65bd5f9b5377575ace04ab08e38c52982a34958998fb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("enumerate", "--input", "FOREST", "--set", "mds", "--format", "csv", "--limit", "3"): (
+        "3bf43d14a06256fa21c0327d5237a1d5347232a5c5178a9838914a177d07aeab",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("enumerate", "--input", "FOREST", "--set", "mis"): (
+        "69c099327077b8d468eb2423b1fee511b1b0aac3be1cc12f9b9c82326075dbad",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("enumerate", "--input", "FOREST", "--set", "mis", "--limit", "3"): (
+        "ae5c8d1c29879417540aa00a48038e212b7821f27e16909e834682a3e72d7db9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("enumerate", "--input", "FOREST", "--set", "mis", "--format", "csv"): (
+        "5ec47ff66594dff30e8921c24cfecfbe7f606652960553a9d13b8bb09c2ab148",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("enumerate", "--input", "FOREST", "--set", "mis", "--format", "csv", "--limit", "3"): (
+        "3c41834c54f8d7b7193615010c9d1e4028d502c3316f4d66e98ab3d9c42c6d00",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    ("family", "--p", "3,2"): (
+        "e0681a79e5be0f49e09c30d7a3eb6f32170e151d17a6c37cbae6fabef6d98081",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+}
+
+
+@pytest.mark.parametrize("argv", list(FOREST_GOLDEN))
+def test_forest_commands_output_is_unchanged(capsys, tmp_path, argv):
+    source = tmp_path / "forest.txt"
+    source.write_text(FOREST, encoding="utf-8")
+    code = main([str(source) if a == "FOREST" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (sha256(captured.out), sha256(captured.err), code) == FOREST_GOLDEN[argv]

@@ -17,7 +17,7 @@ from oracles import (
     stepwise_block_starts,
 )
 from strategies import labeled_trees
-from domcount.forest import ForestError, build_forest, path, spider, star
+from domcount.forest import build_forest, path, spider, star
 from domcount.treegen import (
     CanonicalCode,
     block_starts,
@@ -131,14 +131,20 @@ def test_decode_equals_build_forest():
             assert forest_fields(code.decode()) == forest_fields(build_forest(n, edges))
 
 
-def test_decode_of_malformed_levels_goes_through_build_forest():
-    # A second root-level entry has no parent: two isolated vertices.
-    for levels in [(0, 0), (1, 0)]:
-        assert forest_fields(CanonicalCode(levels).decode()) == forest_fields(build_forest(2, []))
-    # The parent tuple is one short, so vertex 2's parent 1 pairs with vertex 1.
-    with pytest.raises(ForestError, match="self-loop"):
-        CanonicalCode((0, 0, 1)).decode()
-    assert forest_fields(CanonicalCode(()).decode()) == forest_fields(build_forest(0, []))
+@pytest.mark.parametrize("levels, message", [
+    ((0, 0), "level 0 at position 1 is outside 1..1"),
+    ((1, 0), "level 1 at position 0 is outside 0..0"),
+    ((0, 0, 1), "level 0 at position 1 is outside 1..1"),
+    ((), "level sequence is empty"),
+    ((0, 1, 3, 1), "level 3 at position 2 is outside 1..2"),
+    ((0, 5), "level 5 at position 1 is outside 1..1"),
+], ids=["0,0", "1,0", "0,0,1", "empty", "0,1,3,1", "0,5"])
+def test_levels_that_are_not_a_tree_are_rejected(levels, message):
+    code = CanonicalCode(levels)
+    with pytest.raises(ValueError, match=message):
+        code.parents()
+    with pytest.raises(ValueError, match=message):
+        code.decode()
 
 
 def test_generated_codes_are_distinct_and_increasing():
