@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .domination import _mds_containing
-from .forest import Forest, build_forest, forest_to_text, pendant_two_paths
+from .forest import Forest, build_forest, forest_to_text, pendant_bundles
 
 
 @dataclass(frozen=True)
@@ -230,11 +230,10 @@ def local_mds_partition(forest: Forest, w1: int, w2: int, x: int) -> LocalPartit
         raise ValueError("w1, w2 and x must be three distinct vertices")
     if w2 not in forest.adj[x] or w1 not in forest.adj[x]:
         raise ValueError("both hubs must be adjacent to x")
-    chains1 = pendant_two_paths(forest, w1, x)
-    chains2 = pendant_two_paths(forest, w2, x)
-    if not chains1 or not chains2:
+    bundles = pendant_bundles(forest).get(x, {})
+    if w1 not in bundles or w2 not in bundles:
         raise ValueError("each hub must carry at least one pendant 2-path and nothing else")
-    p1, p2 = len(chains1), len(chains2)
+    p1, p2 = bundles[w1], bundles[w2]
     vertex = {"w1": w1, "w2": w2, "x": x}
     traces = [frozenset(c) for r in range(4) for c in itertools.combinations(vertex, r)]
     folds = [_mds_containing(forest, [vertex[name] for name in t]) for t in traces]

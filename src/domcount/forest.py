@@ -191,20 +191,34 @@ def classify_vertices(forest: Forest) -> VertexClassification:
     return VertexClassification(endvertices, frozenset(support), frozenset(strong))
 
 
-def pendant_two_paths(forest: Forest, hub: int, away_from: int) -> list[tuple[int, int]] | None:
-    """(inner, tip) vertex pairs when everything hanging at ``hub`` away
-    from ``away_from`` is pendant paths of length two; None otherwise."""
-    chains = []
-    for v in forest.adj[hub]:
-        if v == away_from:
-            continue
-        if forest.degree(v) != 2:
-            return None
-        tip = [y for y in forest.adj[v] if y != hub][0]
-        if forest.degree(tip) != 1:
-            return None
-        chains.append((v, tip))
-    return chains if chains else None
+def pendant_bundles(forest: Forest) -> dict[int, dict[int, int]]:
+    """``{x: {w: p}}``, in vertex order: the neighbours w of x whose whole
+    side away from x is p >= 1 pendant 2-paths hanging at w.
+
+    One pass counts at each w the neighbours of degree two whose other
+    neighbour is a leaf.  Seen from x, that count drops x itself if x is
+    one, and must cover all of w's other neighbours.
+    """
+    adj = forest.adj
+    chains = [0] * forest.n
+    for ends in adj:
+        if len(ends) == 2:
+            a, b = ends
+            chains[a] += len(adj[b]) == 1
+            chains[b] += len(adj[a]) == 1
+    table = {}
+    for x, neighbours in enumerate(adj):
+        bundles = {}
+        for w in neighbours:
+            count = chains[w]
+            if len(neighbours) == 2:
+                other = neighbours[1] if neighbours[0] == w else neighbours[0]
+                count -= len(adj[other]) == 1
+            if count and count == len(adj[w]) - 1:
+                bundles[w] = count
+        if bundles:
+            table[x] = bundles
+    return table
 
 
 @dataclass

@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .domination import MDS_LEAF, _mds_members, _mds_merge, _pick_min
-from .forest import Forest, classify_vertices, pendant_two_paths
+from .forest import Forest, classify_vertices, pendant_bundles
 from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_merge, _pick_max
 from .limits import search_max_order
 from .treegen import CanonicalCode, block_starts, block_trees
@@ -177,15 +177,8 @@ def extremal_diagnostics(forest: Forest) -> DiagnosticsReport:
     endvertices = classify_vertices(forest).endvertices
     covered = _mds_members(forest, endvertices)
     uncovered = tuple(sorted(v for v in endvertices if not covered >> v & 1))
-    configurations = []
-    for x in range(forest.n):
-        parts = []
-        for w in forest.adj[x]:
-            chains = pendant_two_paths(forest, w, x)
-            if chains:
-                parts.append(len(chains))
-        if len(parts) >= 2:
-            configurations.append(HubConfiguration(at=x, parts=tuple(sorted(parts, reverse=True))))
+    configurations = [HubConfiguration(at=x, parts=tuple(sorted(bundles.values(), reverse=True)))
+                      for x, bundles in pendant_bundles(forest).items() if len(bundles) >= 2]
     return DiagnosticsReport(
         endvertices_covered=not uncovered,
         uncovered_endvertices=uncovered,

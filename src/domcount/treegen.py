@@ -2,10 +2,10 @@
 
 A free tree is identified up to isomorphism by a canonical level sequence:
 the depth of every vertex in preorder, rooted at a center of the tree,
-with sibling subtrees arranged in lexicographically decreasing order.  For
-a bicentral tree the rooting is fixed by comparing the two halves obtained
-by cutting the central edge (larger half carries the root; equal-size
-halves are compared lexicographically).
+with sibling subtrees arranged in lexicographically decreasing order; a
+bicentral tree is rooted at the center with the bigger (on equal sizes,
+the lexicographically later) half.  ``canonical_code`` keeps whichever
+center rooting the generator's own test, ``_is_free_canonical``, accepts.
 
 Generation steps through canonical *rooted* level sequences (Beyer and
 Hedetniemi's successor, in decreasing lexicographic order, starting from
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator
 
-from .forest import Forest, RootedTree
+from .forest import Forest, RootedTree, root_at
 
 
 @total_ordering
@@ -289,7 +289,7 @@ def generate_trees(n: int) -> Iterator[CanonicalCode]:
             yield CanonicalCode(levels)
 
 
-def _tree_centers(adj: dict[int, list[int]], vertices: list[int]) -> list[int]:
+def _tree_centers(adj: list[list[int]], vertices: list[int]) -> list[int]:
     """Centers of a tree by iterative leaf stripping (one or two vertices)."""
     if len(vertices) <= 2:
         return sorted(vertices)
@@ -309,45 +309,38 @@ def _tree_centers(adj: dict[int, list[int]], vertices: list[int]) -> list[int]:
     return sorted(layer)
 
 
-def _canonical_rooted_levels(adj, root: int, blocked: int | None) -> list[int]:
-    """Canonical level sequence of the subtree at ``root`` looking away from
-    ``blocked``; sibling subtrees sorted in decreasing sequence order."""
-    parent: dict[int, int | None] = {root: blocked}
-    order = [root]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    seqs: dict[int, list[int]] = {}
-    kids: dict[int, list[list[int]]] = {v: [] for v in order}
-    for v in reversed(order):
-        subs = sorted(kids.pop(v), reverse=True)
-        out = [0]
-        for s in subs:
-            out.extend(x + 1 for x in s)
-        seqs[v] = out
-        p = parent[v]
-        if p is not None and p != blocked:
-            kids[p].append(seqs.pop(v))
-    return seqs[root]
+def _rooted_levels(tree: RootedTree) -> list[int]:
+    """Canonical level sequence of a rooting, written as depths: siblings
+    compare as they stand, so one pass from the last position to the first
+    sorts each vertex's child sequences in decreasing order and splices
+    them in unshifted, dropping each once its parent holds it."""
+    parent = tree.parent
+    depth = [0] * len(parent)
+    for i in range(1, len(parent)):
+        depth[i] = depth[parent[i]] + 1
+    children: list = [[] for _ in parent]
+    for i in range(len(parent) - 1, -1, -1):
+        subtrees, children[i] = children[i], None
+        subtrees.sort(reverse=True)
+        seq = [depth[i]]
+        for sub in subtrees:
+            seq += sub
+        if i == 0:
+            return seq
+        children[parent[i]].append(seq)
 
 
 def canonical_code(forest: Forest, component: int = 0) -> CanonicalCode:
-    """Canonical code of one tree component of a forest."""
-    vertices = forest.components[component]
-    adj = {v: forest.adj[v] for v in vertices}
-    centers = _tree_centers(adj, vertices)
-    if len(centers) == 1:
-        return CanonicalCode(tuple(_canonical_rooted_levels(adj, centers[0], None)))
-    c1, c2 = centers
-    s1 = _canonical_rooted_levels(adj, c1, c2)
-    s2 = _canonical_rooted_levels(adj, c2, c1)
-    # Root on the side of the bigger (or lexicographically later) half.
-    if (len(s1), s1) < (len(s2), s2):
-        s1, s2 = s2, s1
-    levels = [0] + [x + 1 for x in s2] + s1[1:]
-    return CanonicalCode(tuple(levels))
+    """Canonical code of one tree component of a forest: its first center
+    rooting that ``_is_free_canonical`` accepts.  Of a bicentral tree's two
+    rootings the test accepts at least one, so the last center is kept
+    untested, and so is a single center."""
+    count = forest.component_count
+    if not 0 <= component < count:
+        raise ValueError(f"component {component} is not one of the forest's {count} components")
+    *others, last = _tree_centers(forest.adj, forest.components[component])
+    for center in others:
+        levels = _rooted_levels(root_at(forest, center))
+        if _is_free_canonical(levels, _first_subtree_end(levels)):
+            return CanonicalCode(tuple(levels))
+    return CanonicalCode(tuple(_rooted_levels(root_at(forest, last))))

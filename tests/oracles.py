@@ -23,7 +23,11 @@ the counters' merges: a memoised top-down recursion over the package's
 scan vertex subsets.  ``enumerated_local_partition`` is
 ``local_mds_partition`` as it was before it counted with forced folds:
 it lists every minimum dominating set, projects the chain vertices away
-and removes duplicates.
+and removes duplicates; it reads the chains from ``pendant_two_paths``,
+the per-(hub, neighbour) scan that ``forest.pendant_bundles`` replaced.
+``spliced_canonical_code`` is ``canonical_code`` as it was before it kept
+the rooting the generator accepts: it roots both halves of a bicentral
+tree apart and splices them.
 """
 
 from collections import Counter
@@ -33,7 +37,7 @@ from math import factorial
 from operator import or_
 
 from domcount.domination import count_min_dominating_sets, enumerate_min_dominating_sets, mds_table
-from domcount.forest import pendant_two_paths, root_at
+from domcount.forest import root_at
 from domcount.family import LocalPartition, TableRow, closed_form_count
 from domcount.independence import count_max_independent_sets, is_subdivided_star, mis_table
 from domcount.search import TreeRow, verify_mds_bound, verify_mis_bound
@@ -82,12 +86,13 @@ def brute_force_isomorphic(n, edges_a, edges_b):
     return False
 
 
-def _centers(n, adj):
-    if n <= 2:
-        return list(range(n))
-    degree = [len(a) for a in adj]
-    layer = [v for v in range(n) if degree[v] == 1]
-    remaining = n
+def _centers(adj, vertices):
+    """Centers of the tree on ``vertices`` by leaf stripping."""
+    if len(vertices) <= 2:
+        return sorted(vertices)
+    degree = {v: len(adj[v]) for v in vertices}
+    layer = [v for v in vertices if degree[v] == 1]
+    remaining = len(vertices)
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
@@ -120,7 +125,7 @@ def automorphism_count(n, edges):
     if n == 1:
         return 1
     adj = adjacency(n, edges)
-    centers = _centers(n, adj)
+    centers = _centers(adj, range(n))
     if len(centers) == 1:
         return _rooted_aut(adj, centers[0], None)
     c1, c2 = centers
@@ -145,6 +150,22 @@ def optimize_k_scan(gamma):
             best_k, best_value = k, value
     return TableRow(gamma=gamma, best_k=best_k, formula_value=best_value,
                     table_interpretation_value=best_value - (1 << (gamma - 1)))
+
+
+def pendant_two_paths(forest, hub, away_from):
+    """(inner, tip) vertex pairs when everything hanging at ``hub`` away
+    from ``away_from`` is pendant paths of length two; None otherwise."""
+    chains = []
+    for v in forest.adj[hub]:
+        if v == away_from:
+            continue
+        if forest.degree(v) != 2:
+            return None
+        tip = [y for y in forest.adj[v] if y != hub][0]
+        if forest.degree(tip) != 1:
+            return None
+        chains.append((v, tip))
+    return chains if chains else None
 
 
 def enumerated_local_partition(forest, w1, w2, x):
@@ -420,3 +441,46 @@ def scanned_max_independent_sets(n, adj):
         stack.extend((members + (v,), mask | 1 << v, v + 1)
                      for v in range(n - 1, start - 1, -1) if not neighbours[v] & mask)
     return found
+
+
+def _half_levels(adj, root, blocked):
+    """Canonical level sequence of the subtree at ``root`` looking away from
+    ``blocked``; sibling subtrees sorted in decreasing sequence order."""
+    parent = {root: blocked}
+    order = [root]
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    seqs = {}
+    kids = {v: [] for v in order}
+    for v in reversed(order):
+        subs = sorted(kids.pop(v), reverse=True)
+        out = [0]
+        for s in subs:
+            out.extend(x + 1 for x in s)
+        seqs[v] = out
+        p = parent[v]
+        if p is not None and p != blocked:
+            kids[p].append(seqs.pop(v))
+    return seqs[root]
+
+
+def spliced_canonical_code(forest, component=0):
+    """Canonical code of one tree component, rooting each half of a
+    bicentral tree on its own and splicing the smaller half under the
+    bigger (or lexicographically later) half's center."""
+    vertices = forest.components[component]
+    centers = _centers(forest.adj, vertices)
+    if len(centers) == 1:
+        return CanonicalCode(tuple(_half_levels(forest.adj, centers[0], None)))
+    c1, c2 = centers
+    s1 = _half_levels(forest.adj, c1, c2)
+    s2 = _half_levels(forest.adj, c2, c1)
+    if (len(s1), s1) < (len(s2), s2):
+        s1, s2 = s2, s1
+    return CanonicalCode(tuple([0] + [x + 1 for x in s2] + s1[1:]))

@@ -1,4 +1,5 @@
-"""Hypothesis strategies: random labeled trees and small forests."""
+"""Hypothesis strategies: random labeled trees and small forests; and a
+seeded relabelling for tests that draw from ``random.Random``."""
 
 from hypothesis import strategies as st
 
@@ -28,3 +29,10 @@ def shuffled_forests(draw, max_components=4, max_order=6):
     parts = draw(forests(max_components, max_order))
     label = draw(st.permutations(range(parts.n)))
     return build_forest(parts.n, [(label[u], label[v]) for u, v in parts.edges])
+
+
+def relabeled(forest, rng):
+    """``forest`` with its vertex labels permuted by ``rng``."""
+    labels = list(range(forest.n))
+    rng.shuffle(labels)
+    return build_forest(forest.n, [(labels[u], labels[v]) for u, v in forest.edges])

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oracles import bfs_rooting, child_positions
-from strategies import forests
+from oracles import bfs_rooting, child_positions, pendant_two_paths
+from strategies import forests, relabeled
 from domcount.domination import enumerate_min_dominating_sets, mds_table
+from domcount.family import build_family_tree
 from domcount.forest import (
     ForestError,
     build_forest,
@@ -14,7 +15,7 @@ from domcount.forest import (
     forest_to_text,
     parse_forest,
     path,
-    pendant_two_paths,
+    pendant_bundles,
     root_at,
     spider,
     star,
@@ -244,11 +245,55 @@ def test_spider_rejects_zero_leg():
 
 
 def test_pendant_two_paths_detection(tstar):
+    bundles = pendant_bundles(tstar)
     # At vertex 5 of the 2-2-4 spider: hub 0 hangs two pendant 2-paths,
     # hub 6 hangs one.
-    assert sorted(pendant_two_paths(tstar, 0, 5)) == [(1, 2), (3, 4)]
-    assert pendant_two_paths(tstar, 6, 5) == [(7, 8)]
+    assert bundles[5][0] == 2
+    assert bundles[5][6] == 1
     # Looking toward the center from 6, vertex 7's subtree is a bare path.
-    assert pendant_two_paths(tstar, 7, 6) is None
+    assert 7 not in bundles.get(6, {})
     # A leaf hub has no pendant paths at all.
-    assert pendant_two_paths(tstar, 8, 7) is None
+    assert 8 not in bundles.get(7, {})
+
+
+def scanned_bundles(forest):
+    """``pendant_bundles`` from the per-(vertex, neighbour) scan."""
+    table = {}
+    for x in range(forest.n):
+        for w in forest.adj[x]:
+            chains = pendant_two_paths(forest, w, x)
+            if chains:
+                table.setdefault(x, {})[w] = len(chains)
+    return table
+
+
+def test_pendant_bundles_edge_cases():
+    # x = 1 is itself the inner vertex of a pendant 2-path at w = 0, so
+    # from x only the other two of 0's paths count; w = 2 is a leaf.
+    assert pendant_bundles(spider(2, 2, 2))[1] == {0: 2}
+    # A leaf w hangs nothing, seen from its only neighbour.
+    assert pendant_bundles(star(3)) == {}
+    # Leg 0-1-2-3: its middle vertex 2 is the inner vertex of the path
+    # 2-3 at 1, which is a bundle seen from 0; from 2 itself, 1 hangs
+    # nothing and 3 is a leaf.  From 1, the leg 0-4-5 is a bundle at 0.
+    assert pendant_bundles(spider(3, 2)) == {0: {1: 1}, 1: {0: 1}}
+    for tree in (spider(2, 2, 2), star(3), spider(3, 2)):
+        assert pendant_bundles(tree) == scanned_bundles(tree)
+
+
+def test_pendant_bundles_match_the_per_pair_scan():
+    for n in range(1, 13):
+        for code in generate_trees(n):
+            forest = code.decode()
+            assert pendant_bundles(forest) == scanned_bundles(forest), code
+    rng = random.Random(4606)
+    for i in range(3000):
+        if i % 3 == 0:
+            n = rng.randint(1, 60)
+            forest = build_forest(n, [(rng.randrange(child), child) for child in range(1, n)])
+        elif i % 3 == 1:
+            forest = spider(*(rng.choice((1, 2, 2, 2, 3)) for _ in range(rng.randint(1, 12))))
+        else:
+            forest = build_family_tree([rng.randint(1, 4) for _ in range(rng.randint(1, 4))]).forest
+        forest = relabeled(forest, rng)
+        assert pendant_bundles(forest) == scanned_bundles(forest), forest.edges

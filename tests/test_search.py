@@ -32,6 +32,7 @@ from domcount.search import (
 )
 from domcount.treegen import CanonicalCode, block_starts, canonical_code, generate_trees
 from oracles import forest_tree_rows
+from strategies import relabeled
 
 
 def cubic(x):
@@ -136,12 +137,6 @@ def enumerated_uncovered(forest):
     """Endvertices in no minimum dominating set, read off the full list."""
     covered = frozenset().union(*enumerate_min_dominating_sets(forest))
     return tuple(sorted(classify_vertices(forest).endvertices - covered))
-
-
-def relabeled(forest, rng):
-    labels = list(range(forest.n))
-    rng.shuffle(labels)
-    return build_forest(forest.n, [(labels[u], labels[v]) for u, v in forest.edges])
 
 
 def test_diagnostics_coverage_matches_enumeration():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,12 @@ from oracles import (
     free_key,
     iso_class_count,
     labeled_tree_total,
+    spliced_canonical_code,
     stack_parents,
     stepwise_block_starts,
 )
-from strategies import labeled_trees
-from domcount.forest import build_forest, path, spider, star
+from strategies import labeled_trees, relabeled
+from domcount.forest import build_forest, disjoint_union, path, spider, star
 from domcount.treegen import (
     CanonicalCode,
     block_starts,
@@ -165,9 +167,54 @@ def test_decode_gives_connected_acyclic_tree():
 
 
 def test_decode_then_encode_is_identity():
-    for n in range(1, 11):
+    rng = random.Random(1986)
+    for n in range(1, 13):
         for code in generate_trees(n):
             assert canonical_code(code.decode()) == code
+            assert canonical_code(relabeled(code.decode(), rng)) == code
+
+
+def random_recursive_tree(rng, max_order):
+    n = rng.randint(1, max_order)
+    return build_forest(n, [(rng.randrange(child), child) for child in range(1, n)])
+
+
+def test_encoding_matches_the_spliced_halves():
+    # The codes of the rooting the generator accepts equal those of the
+    # old construction, which rooted a bicentral tree's halves apart.
+    rng = random.Random(15)
+    for _ in range(2000):
+        tree = relabeled(random_recursive_tree(rng, 199), rng)
+        assert canonical_code(tree) == spliced_canonical_code(tree)
+    for _ in range(300):
+        parts = [random_recursive_tree(rng, 30) for _ in range(rng.randint(2, 6))]
+        forest = relabeled(disjoint_union(*parts), rng)
+        for component in range(forest.component_count):
+            assert canonical_code(forest, component) == spliced_canonical_code(forest, component)
+
+
+def test_encoding_at_scale_has_closed_forms():
+    rng = random.Random(20000)
+    n, k = 20000, 5000
+    cases = [
+        (path(n), (*range(n // 2 + 1), *range(1, (n + 1) // 2))),
+        (star(n), (0,) + (1,) * n),
+        (spider(*[2] * k), (0,) + (1, 2) * k),
+    ]
+    for tree, levels in cases:
+        assert canonical_code(tree).levels == levels
+        assert canonical_code(relabeled(tree, rng)).levels == levels
+
+
+@pytest.mark.parametrize("forest, component", [
+    (disjoint_union(path(3), star(2)), -1),
+    (disjoint_union(path(3), star(2)), 5),
+    (build_forest(0, []), 0),
+])
+def test_encoding_rejects_a_missing_component(forest, component):
+    count = forest.component_count
+    with pytest.raises(ValueError, match=f"component {component} is not one of the forest's {count} components"):
+        canonical_code(forest, component)
 
 
 def test_generated_trees_pairwise_nonisomorphic():
