@@ -143,8 +143,11 @@ def _cmd_search(args) -> int:
     report = search_extremal(args.min_order, args.max_order, jobs=args.jobs,
                              emit_rows=args.emit_all)
     if args.format == "csv" or args.emit_all:
-        for line in report_csv_lines(report):
-            print(line)
+        lines = report_csv_lines(report)
+        # A few thousand lines per write: one string of every line would
+        # hold the whole CSV text a second time.
+        for i in range(0, len(lines), 4096):
+            sys.stdout.write("\n".join(lines[i:i + 4096]) + "\n")
     (sys.stderr if args.format == "csv" else sys.stdout).write(report_text(report))
     return 1 if report.violation_count else 0
 

@@ -18,14 +18,25 @@ The parent process walks each order's first-subtree blocks
 (``treegen.block_starts``) and streams the block starts of all orders to
 the workers, _BLOCKS_PER_TASK at a time.  A worker generates each block's
 trees (``treegen.block_trees``) and turns every level sequence straight
-into its row with one recursion over slices of the sequence: a subtree's
-children are the entries one level below its first, each child's slice
-is looked up in a per-process memo of its (MDS, MIS) root records, and
-the records are merged with the counters' own ``_mds_merge`` and
-``_mis_merge``.  No ``Forest`` is built per tree; only the per-gamma
-record witnesses are decoded, for their diagnostics.  Rows are
-``TreeRow`` NamedTuples, so a block's rows travel back to the parent
-pickled as plain tuples behind one reference to the class.
+into its row; no ``Forest`` is built per tree, and only the per-gamma
+record witnesses are decoded, for their diagnostics.  A subtree's (MDS,
+MIS) root records come from one recursion over slices of the sequence:
+its children are the entries one level below its first, each child's
+slice is looked up in a per-process memo of its records, and the records
+are merged with the counters' own ``_mds_merge`` and ``_mis_merge``.
+
+Every tree of a block shares the root's first subtree, so its records and
+the code string's prefix, ``c n`` and the parents of the first subtree,
+are read once per block.  Only the rest of the tree changes, and the same
+rests recur across the blocks of an order: 2,677 rests serve the 19,320
+trees of order 16.  A second per-process memo, kept for one order at a
+time, holds each rest's root record over its own children and its part of
+the code string.  A tree then costs one merge per counter, of the rest's
+record with the first subtree's, the bound checks and one string
+concatenation.  The merged result does not depend on the order children
+are merged in, so the first subtree may come last.  Rows are ``TreeRow``
+NamedTuples, so a block's rows travel back to the parent pickled as plain
+tuples behind one reference to the class.
 
 The parent folds the returned rows in block order, which is stream order:
 orders ascend, blocks follow the generator, and codes strictly increase
@@ -45,9 +56,9 @@ from typing import NamedTuple
 
 from .domination import MDS_LEAF, _mds_members, _mds_merge, _pick_min
 from .forest import Forest, classify_vertices, pendant_bundles
-from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_merge, _pick_max
+from .independence import MIS_LEAF, SpiderShape, _mis_merge, _pick_max
 from .limits import search_max_order
-from .treegen import CanonicalCode, block_starts, block_trees
+from .treegen import CanonicalCode, _first_subtree_end, _parent_names, block_starts, block_trees
 
 # The sweep does not call these, but perfbench's traced run patches them by
 # name on this module (``SEARCH_SPANS``), so they stay importable from here.
@@ -103,7 +114,15 @@ def verify_mds_bound(gamma: int, count: int) -> bool:
     """count <= 2.4606^gamma, checked exactly over the integers."""
     if gamma < 1:
         raise ValueError(f"gamma must be at least 1, got {gamma}")
-    return count * _BOUND_DENOMINATOR**gamma <= _BOUND_NUMERATOR**gamma
+    scale, bound = _mds_bound_powers(gamma)
+    return count * scale <= bound
+
+
+@functools.lru_cache(maxsize=64)
+def _mds_bound_powers(gamma: int) -> tuple[int, int]:
+    """10000^gamma and 24606^gamma; the sweep checks every tree of a few
+    gammas."""
+    return _BOUND_DENOMINATOR**gamma, _BOUND_NUMERATOR**gamma
 
 
 @dataclass(frozen=True)
@@ -115,12 +134,17 @@ class MisBoundCheck:
 
 def verify_mis_bound(alpha: int, count: int, shape: SpiderShape) -> MisBoundCheck:
     """count <= 2^(alpha-1)+1, equality expected exactly on subdivided stars."""
-    if alpha < 1:
-        raise ValueError(f"alpha must be at least 1, got {alpha}")
-    bound = (1 << (alpha - 1)) + 1
+    bound = _mis_alpha_bound(alpha)
     equality = count == bound
     return MisBoundCheck(passed=count <= bound, equality=equality,
                          consistent=equality == shape.is_subdivided_star)
+
+
+def _mis_alpha_bound(alpha: int) -> int:
+    """2^(alpha-1)+1, the ceiling that ``verify_mis_bound`` checks."""
+    if alpha < 1:
+        raise ValueError(f"alpha must be at least 1, got {alpha}")
+    return (1 << (alpha - 1)) + 1
 
 
 def mis_order_bound(n: int) -> int:
@@ -251,38 +275,84 @@ def _records(sub: tuple[int, ...]) -> tuple[tuple, tuple]:
 _subtree_record = functools.cache(_records)
 
 
-def _level_counts(levels: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """(gamma, MDS count, alpha, MIS count) of a tree given by its level
-    sequence rooted at vertex 0.  Whole trees stay out of the memo."""
-    (z0, c0, z1, c1, _, _), mis = _records(levels)
-    return (*_pick_min(z0, c0, z1, c1), *_pick_max(*mis))
+# Per-process memo of one order's rests of the tree: ``levels[m:]``, m the
+# end of the root's first subtree, which the rest fixes within an order.
+# Each rest maps to the root's (MDS, MIS) records over the rest's children
+# and the rest's part of the code string.  Keyed by order, it holds one
+# order's tables at a time; no entry carries over to another order.
+# Cleared after each sweep.
+_order_tables: dict[int, tuple] = {}
 
 
-def _level_spider_shape(levels: tuple[int, ...]) -> SpiderShape:
-    """``is_subdivided_star`` on a canonical level sequence: at order 2k+2
-    the only accepted code is (0,) + (1, 2)*k + (1,)."""
-    n = len(levels)
-    k = (n - 2) // 2
-    if n % 2 == 0 and levels == (0,) + (1, 2) * k + (1,):
-        return SpiderShape(True, k)
-    return NOT_SUBDIVIDED_STAR
+def _tables(n: int) -> tuple:
+    """(rests, vertex names, subdivided star) of order n, built when a block
+    of a new order arrives."""
+    tables = _order_tables.get(n)
+    if tables is None:
+        _order_tables.clear()
+        # is_subdivided_star on canonical levels: at order 2k+2 the only
+        # accepted code is (0,) + (1, 2)*k + (1,).
+        star = (0,) + (1, 2) * ((n - 2) // 2) + (1,) if n % 2 == 0 else None
+        tables = _order_tables[n] = ({}, tuple(map(str, range(n))), star)
+    return tables
+
+
+def _rest_entry(rest: tuple[int, ...], names: tuple[str, ...]) -> tuple:
+    """The root's (MDS, MIS) records over the children in ``rest``, and the
+    code string's parents of the rest, each after a space."""
+    sub = (0, *rest)
+    mds, mis = _records(sub)
+    # Position j of ``sub`` is the root for j = 0, else position m + j - 1.
+    shifted = (names[0], *names[len(names) - len(rest):])
+    return mds, mis, "".join([" " + name for name in _parent_names(sub, shifted)])
+
+
+def _alone(acc, child):
+    """The merge of a root with no first subtree: the single vertex."""
+    return acc
+
+
+def _rows(start: tuple[int, ...], trees) -> list[TreeRow]:
+    """Count and check ``trees``, level sequences of ``start``'s order that
+    share its first subtree; one row per tree, in the given order.
+
+    The first subtree's records and code prefix are read once.  Each
+    tree's rest of the tree comes from the order's memo, so a tree costs
+    one merge per counter of the rest's root record with the first
+    subtree's, the bound checks and one string concatenation.
+    """
+    n = len(start)
+    rests, names, star = _tables(n)
+    m = _first_subtree_end(start)
+    prefix = " ".join(["c", str(n), *_parent_names(start[:m], names)])
+    if m > 1:
+        first_mds, first_mis = _subtree_record(start[1:m])
+        mds_merge, mis_merge = _mds_merge, _mis_merge
+    else:
+        first_mds = first_mis = None
+        mds_merge = mis_merge = _alone
+    rows = []
+    append = rows.append
+    for levels in trees:
+        rest = levels[m:]
+        entry = rests.get(rest)
+        if entry is None:
+            entry = rests[rest] = _rest_entry(rest, names)
+        rest_mds, rest_mis, suffix = entry
+        z0, c0, z1, c1, _, _ = mds_merge(rest_mds, first_mds)
+        gamma, mds_count = _pick_min(z0, c0, z1, c1)
+        alpha, mis_count = _pick_max(*mis_merge(rest_mis, first_mis))
+        bound = _mis_alpha_bound(alpha)
+        append(TreeRow(n, prefix + suffix, gamma, mds_count, alpha, mis_count,
+                       verify_mds_bound(gamma, mds_count), mis_count <= bound,
+                       mis_count == bound, levels == star))
+    return rows
 
 
 def _block_rows(start: tuple[int, ...]) -> list[TreeRow]:
     """Generate, count and check every tree of one first-subtree block;
     one row per tree, in stream order."""
-    rows = []
-    for levels in block_trees(start):
-        gamma, mds_count, alpha, mis_count = _level_counts(levels)
-        shape = _level_spider_shape(levels)
-        mis_check = verify_mis_bound(alpha, mis_count, shape)
-        rows.append(TreeRow(
-            order=len(levels), code=CanonicalCode(levels).to_string(), gamma=gamma,
-            mds_count=mds_count, alpha=alpha, mis_count=mis_count,
-            mds_bound_ok=verify_mds_bound(gamma, mds_count),
-            mis_bound_ok=mis_check.passed, mis_equality=mis_check.equality,
-            is_subdivided_star=shape.is_subdivided_star))
-    return rows
+    return _rows(start, block_trees(start))
 
 
 def search_extremal(min_order: int, max_order: int, jobs: int = 1,
@@ -313,6 +383,7 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
     mis_violations: list[tuple[str, str]] = []
     order_violations: list[tuple[str, str]] = []
     rows: list[TreeRow] | None = [] if emit_rows else None
+    bound_order = order_bound = None
     starts = (start for n in range(min_order, max_order + 1) for start in block_starts(n))
     try:
         with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
@@ -331,7 +402,9 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
                             (row.code,
                              f"alpha={row.alpha} count={row.mis_count} equality={row.mis_equality} "
                              f"recognizer={row.is_subdivided_star}"))
-                    order_bound = mis_order_bound(row.order)
+                    if row.order != bound_order:
+                        bound_order = row.order
+                        order_bound = mis_order_bound(bound_order)
                     if row.mis_count > order_bound:
                         order_violations.append(
                             (row.code,
@@ -347,6 +420,7 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
     finally:
         # Records are cheap to rebuild; do not keep them past the sweep.
         _subtree_record.cache_clear()
+        _order_tables.clear()
 
     gamma_records = {g: ExtremalRecord(g, r.mds_count, CanonicalCode.from_string(r.code), r.order)
                      for g, r in sorted(gamma_best.items())}
@@ -371,19 +445,15 @@ CSV_HEADER = ("order,code,gamma,mds_count,alpha,mis_count,"
               "mds_bound_ok,mis_bound_ok,mis_equality,is_subdivided_star")
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
+_BOOLS = ("false", "true")
 
 
 def report_csv_lines(report: SearchReport) -> list[str]:
     lines = [CSV_HEADER]
-    for row in report.rows or ():
-        lines.append(",".join([
-            str(row.order), row.code, str(row.gamma), str(row.mds_count),
-            str(row.alpha), str(row.mis_count), _fmt_bool(row.mds_bound_ok),
-            _fmt_bool(row.mis_bound_ok), _fmt_bool(row.mis_equality),
-            _fmt_bool(row.is_subdivided_star),
-        ]))
+    lines += [f"{order},{code},{gamma},{mds_count},{alpha},{mis_count},{_BOOLS[mds_ok]},"
+              f"{_BOOLS[mis_ok]},{_BOOLS[equality]},{_BOOLS[is_star]}"
+              for order, code, gamma, mds_count, alpha, mis_count, mds_ok, mis_ok, equality, is_star
+              in report.rows or ()]
     return lines
 
 
@@ -414,6 +484,6 @@ def report_text(report: SearchReport) -> str:
     lines.append(f"record diagnostics (within order <= {report.max_order}):")
     for gamma, diag in report.diagnostics.items():
         gap = "-" if diag.max_hub_gap is None else str(diag.max_hub_gap)
-        lines.append(f"  gamma={gamma}: endvertices_covered={_fmt_bool(diag.endvertices_covered)} "
+        lines.append(f"  gamma={gamma}: endvertices_covered={_BOOLS[diag.endvertices_covered]} "
                      f"max_hub_gap={gap}")
     return "\n".join(lines) + "\n"

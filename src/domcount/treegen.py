@@ -310,24 +310,44 @@ def _tree_centers(adj: list[list[int]], vertices: list[int]) -> list[int]:
 
 
 def _rooted_levels(tree: RootedTree) -> list[int]:
-    """Canonical level sequence of a rooting, written as depths: siblings
-    compare as they stand, so one pass from the last position to the first
-    sorts each vertex's child sequences in decreasing order and splices
-    them in unshifted, dropping each once its parent holds it."""
+    """Canonical level sequence of a rooting, in O(n log n).
+
+    Vertices are ranked depth by depth, deepest first.  A vertex's key is
+    its children's ranks in decreasing order, and its rank is its key's
+    place among the distinct keys of its depth.  Each child's sequence
+    starts one level below its parent and goes on deeper, so sequences
+    of one depth compare as their keys do, and writing each key's
+    children in order gives the canonical preorder.
+    """
     parent = tree.parent
-    depth = [0] * len(parent)
-    for i in range(1, len(parent)):
+    n = len(parent)
+    depth = [0] * n
+    for i in range(1, n):
         depth[i] = depth[parent[i]] + 1
-    children: list = [[] for _ in parent]
-    for i in range(len(parent) - 1, -1, -1):
-        subtrees, children[i] = children[i], None
-        subtrees.sort(reverse=True)
-        seq = [depth[i]]
-        for sub in subtrees:
-            seq += sub
-        if i == 0:
-            return seq
-        children[parent[i]].append(seq)
+    layers: list = [[] for _ in range(max(depth) + 1)]
+    for i in range(n):
+        layers[depth[i]].append(i)
+    child_ranks: list = [[] for _ in range(n)]
+    keys: list = [None] * len(layers)  # keys[d][r]: the key of rank r at depth d
+    for d in range(len(layers) - 1, 0, -1):
+        layer = layers[d]
+        layer_keys = []
+        for v in layer:
+            ranks = child_ranks[v]
+            ranks.sort(reverse=True)
+            layer_keys.append(tuple(ranks))
+        keys[d] = sorted(set(layer_keys))
+        rank = {key: r for r, key in enumerate(keys[d])}
+        for v, key in zip(layer, layer_keys):
+            child_ranks[parent[v]].append(rank[key])
+    levels = []
+    stack = [(0, sorted(child_ranks[0], reverse=True))]
+    while stack:
+        d, key = stack.pop()
+        levels.append(d)
+        d += 1
+        stack += [(d, keys[d][r]) for r in reversed(key)]
+    return levels
 
 
 def canonical_code(forest: Forest, component: int = 0) -> CanonicalCode:

@@ -27,7 +27,9 @@ and removes duplicates; it reads the chains from ``pendant_two_paths``,
 the per-(hub, neighbour) scan that ``forest.pendant_bundles`` replaced.
 ``spliced_canonical_code`` is ``canonical_code`` as it was before it kept
 the rooting the generator accepts: it roots both halves of a bicentral
-tree apart and splices them.
+tree apart and splices them.  ``spliced_rooted_levels`` is the level
+writer that ``canonical_code`` used next, before it ranked vertices depth
+by depth: it splices each vertex's sorted child sequences into its own.
 """
 
 from collections import Counter
@@ -484,3 +486,25 @@ def spliced_canonical_code(forest, component=0):
     if (len(s1), s1) < (len(s2), s2):
         s1, s2 = s2, s1
     return CanonicalCode(tuple([0] + [x + 1 for x in s2] + s1[1:]))
+
+
+def spliced_rooted_levels(tree):
+    """Canonical level sequence of a rooting, written as depths: siblings
+    compare as they stand, so one pass from the last position to the first
+    sorts each vertex's child sequences in decreasing order and splices
+    them in unshifted, dropping each once its parent holds it.  Copies
+    O(n * height) elements."""
+    parent = tree.parent
+    depth = [0] * len(parent)
+    for i in range(1, len(parent)):
+        depth[i] = depth[parent[i]] + 1
+    children: list = [[] for _ in parent]
+    for i in range(len(parent) - 1, -1, -1):
+        subtrees, children[i] = children[i], None
+        subtrees.sort(reverse=True)
+        seq = [depth[i]]
+        for sub in subtrees:
+            seq += sub
+        if i == 0:
+            return seq
+        children[parent[i]].append(seq)

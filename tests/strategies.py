@@ -1,9 +1,10 @@
 """Hypothesis strategies: random labeled trees and small forests; and a
-seeded relabelling for tests that draw from ``random.Random``."""
+seeded relabelling and seeded random trees for tests that draw from
+``random.Random``."""
 
 from hypothesis import strategies as st
 
-from domcount.forest import build_forest, disjoint_union
+from domcount.forest import build_forest, disjoint_union, spider
 
 
 @st.composite
@@ -36,3 +37,17 @@ def relabeled(forest, rng):
     labels = list(range(forest.n))
     rng.shuffle(labels)
     return build_forest(forest.n, [(labels[u], labels[v]) for u, v in forest.edges])
+
+
+def random_tree(rng):
+    """A random recursive tree or, one time in four, a spider with legs of
+    length 1 to 3, its vertices shuffled by ``rng``; up to 60 vertices."""
+    if rng.random() < 0.25:
+        base = spider(*(rng.choice((1, 2, 2, 2, 3)) for _ in range(rng.randint(1, 12))))
+        n, edges = base.n, base.edges
+    else:
+        n = rng.randint(1, 60)
+        edges = [(rng.randrange(child), child) for child in range(1, n)]
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return build_forest(n, [(labels[u], labels[v]) for u, v in edges])

@@ -11,15 +11,15 @@ from domcount.domination import (
     mds_table,
 )
 from domcount.family import build_family_tree
-from domcount.forest import build_forest, classify_vertices, path, spider, star
+from domcount.forest import classify_vertices, path, spider, star
 from domcount.independence import SpiderShape, count_max_independent_sets, is_subdivided_star, mis_table
 from domcount.search import (
     DiagnosticsReport,
     HubConfiguration,
     _block_rows,
-    _level_counts,
-    _level_spider_shape,
+    _order_tables,
     _records,
+    _rows,
     _subtree_record,
     compute_growth_base,
     extremal_diagnostics,
@@ -30,9 +30,9 @@ from domcount.search import (
     verify_mds_bound,
     verify_mis_bound,
 )
-from domcount.treegen import CanonicalCode, block_starts, canonical_code, generate_trees
+from domcount.treegen import CanonicalCode, _first_subtree_end, block_starts, canonical_code, generate_trees
 from oracles import forest_tree_rows
-from strategies import relabeled
+from strategies import random_tree, relabeled
 
 
 def cubic(x):
@@ -244,11 +244,35 @@ def test_search_deterministic_across_workers():
 
 def test_kernel_rows_match_forest_oracle():
     # The level-sequence kernel against one decoded Forest and the public
-    # counters and recognizer per tree.
-    for n in range(1, 17):
-        levels = [code.levels for code in generate_trees(n)]
-        rows = [row for start in block_starts(n) for row in _block_rows(start)]
-        assert rows == forest_tree_rows(levels), n
+    # counters and recognizer per tree.  Each order runs from cold memos,
+    # then again with every subtree and rest of the order memoised.
+    try:
+        for n in range(1, 17):
+            expected = forest_tree_rows([code.levels for code in generate_trees(n)])
+            _subtree_record.cache_clear()
+            _order_tables.clear()
+            for memos in ("cold", "warm"):
+                rows = [row for start in block_starts(n) for row in _block_rows(start)]
+                assert rows == expected, (n, memos)
+            assert list(_order_tables) == [n]
+    finally:
+        _subtree_record.cache_clear()
+        _order_tables.clear()
+
+
+def test_rest_memo_holds_one_order():
+    # A block of a new order drops the last order's rests, whose code
+    # suffixes name positions after a first subtree of another size.
+    try:
+        for n in (7, 8, 7, 12):
+            for start in block_starts(n):
+                _block_rows(start)
+            assert list(_order_tables) == [n]
+            levels = [code.levels for code in generate_trees(n)]
+            assert set(_order_tables[n][0]) == {seq[_first_subtree_end(seq):] for seq in levels}
+    finally:
+        _subtree_record.cache_clear()
+        _order_tables.clear()
 
 
 def test_records_match_tables_on_every_subtree():
@@ -270,47 +294,45 @@ def test_records_match_tables_on_every_subtree():
 def test_sweep_releases_the_subtree_memo(monkeypatch):
     search_extremal(1, 10)
     assert _subtree_record.cache_info().currsize == 0
+    assert not _order_tables
     filled = []
 
     def failing_check(gamma, count):
         if gamma == 4:
-            filled.append(_subtree_record.cache_info().currsize)
+            filled.append((_subtree_record.cache_info().currsize,
+                           sum(len(rests) for rests, *_ in _order_tables.values())))
             raise RuntimeError("check failed")
         return verify_mds_bound(gamma, count)
 
     monkeypatch.setattr(search, "verify_mds_bound", failing_check)
     with pytest.raises(RuntimeError, match="check failed"):
         search_extremal(1, 10)
-    assert filled[0] > 0
+    assert filled[0][0] > 0 and filled[0][1] > 0
     assert _subtree_record.cache_info().currsize == 0
-
-
-def random_tree(rng):
-    """A random recursive tree or, one time in four, a spider with legs of
-    length 1 to 3, its vertices shuffled; up to 60 vertices."""
-    if rng.random() < 0.25:
-        base = spider(*(rng.choice((1, 2, 2, 2, 3)) for _ in range(rng.randint(1, 12))))
-        n, edges = base.n, base.edges
-    else:
-        n = rng.randint(1, 60)
-        edges = [(rng.randrange(child), child) for child in range(1, n)]
-    labels = list(range(n))
-    rng.shuffle(labels)
-    return build_forest(n, [(labels[u], labels[v]) for u, v in edges])
+    assert not _order_tables
 
 
 def test_kernel_matches_counters_on_random_trees():
+    # The kernel's per-tree path (rest memo, one merge per counter with the
+    # first subtree, code prefix and suffix, star check) on one tree at a
+    # time, against the public counters and recognizer on the labelled tree.
     rng = random.Random(20180)
     stars = 0
-    for _ in range(3000):
-        forest = random_tree(rng)
-        levels = canonical_code(forest).levels
-        dom = count_min_dominating_sets(forest)
-        ind = count_max_independent_sets(forest)
-        assert _level_counts(levels) == (dom.gamma, dom.mds_count, ind.alpha, ind.mis_count)
-        shape = is_subdivided_star(forest)
-        assert _level_spider_shape(levels) == shape
-        stars += shape.is_subdivided_star
+    try:
+        for _ in range(3000):
+            forest = random_tree(rng)
+            levels = canonical_code(forest).levels
+            dom = count_min_dominating_sets(forest)
+            ind = count_max_independent_sets(forest)
+            (row,) = _rows(levels, [levels])
+            assert row == forest_tree_rows([levels])[0]
+            assert row[2:6] == (dom.gamma, dom.mds_count, ind.alpha, ind.mis_count)
+            shape = is_subdivided_star(forest)
+            assert row.is_subdivided_star == shape.is_subdivided_star
+            stars += shape.is_subdivided_star
+    finally:
+        _subtree_record.cache_clear()
+        _order_tables.clear()
     assert stars >= 50
 
 

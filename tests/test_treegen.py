@@ -15,13 +15,16 @@ from oracles import (
     iso_class_count,
     labeled_tree_total,
     spliced_canonical_code,
+    spliced_rooted_levels,
     stack_parents,
     stepwise_block_starts,
 )
-from strategies import labeled_trees, relabeled
-from domcount.forest import build_forest, disjoint_union, path, spider, star
+from strategies import labeled_trees, random_tree, relabeled
+from domcount.forest import build_forest, disjoint_union, path, root_at, spider, star
 from domcount.treegen import (
     CanonicalCode,
+    _rooted_levels,
+    _tree_centers,
     block_starts,
     block_trees,
     canonical_code,
@@ -193,6 +196,22 @@ def test_encoding_matches_the_spliced_halves():
             assert canonical_code(forest, component) == spliced_canonical_code(forest, component)
 
 
+def test_ranked_levels_match_the_splice():
+    # Every rooting at a center of every tree of orders 1..12, decoded and
+    # relabelled, and of 3,000 seeded random trees and spiders up to order
+    # 60, against the splice that copied O(n * height) elements; the codes
+    # against the construction that rooted a bicentral tree's halves apart.
+    rng = random.Random(100000)
+    trees = [tree for n in range(1, 13) for code in generate_trees(n)
+             for tree in (code.decode(), relabeled(code.decode(), rng))]
+    trees += [random_tree(rng) for _ in range(3000)]
+    for tree in trees:
+        for center in _tree_centers(tree.adj, tree.components[0]):
+            rooting = root_at(tree, center)
+            assert _rooted_levels(rooting) == spliced_rooted_levels(rooting)
+        assert canonical_code(tree) == spliced_canonical_code(tree)
+
+
 def test_encoding_at_scale_has_closed_forms():
     rng = random.Random(20000)
     n, k = 20000, 5000
@@ -204,6 +223,10 @@ def test_encoding_at_scale_has_closed_forms():
     for tree, levels in cases:
         assert canonical_code(tree).levels == levels
         assert canonical_code(relabeled(tree, rng)).levels == levels
+    # The deepest tree of 10^5 vertices: the splice copied about 2.5e9
+    # elements for it.
+    n = 100000
+    assert canonical_code(path(n)).levels == (*range(n // 2 + 1), *range(1, (n + 1) // 2))
 
 
 @pytest.mark.parametrize("forest, component", [
