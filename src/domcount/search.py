@@ -278,23 +278,17 @@ _subtree_record = functools.cache(_records)
 # Per-process memo of one order's rests of the tree: ``levels[m:]``, m the
 # end of the root's first subtree, which the rest fixes within an order.
 # Each rest maps to the root's (MDS, MIS) records over the rest's children
-# and the rest's part of the code string.  Keyed by order, it holds one
-# order's tables at a time; no entry carries over to another order.
-# Cleared after each sweep.
-_order_tables: dict[int, tuple] = {}
-
-
+# and the rest's part of the code string.  The cache holds one order's
+# tables at a time; no entry carries over to another order.  Cleared after
+# each sweep.
+@functools.lru_cache(maxsize=1)
 def _tables(n: int) -> tuple:
     """(rests, vertex names, subdivided star) of order n, built when a block
     of a new order arrives."""
-    tables = _order_tables.get(n)
-    if tables is None:
-        _order_tables.clear()
-        # is_subdivided_star on canonical levels: at order 2k+2 the only
-        # accepted code is (0,) + (1, 2)*k + (1,).
-        star = (0,) + (1, 2) * ((n - 2) // 2) + (1,) if n % 2 == 0 else None
-        tables = _order_tables[n] = ({}, tuple(map(str, range(n))), star)
-    return tables
+    # is_subdivided_star on canonical levels: at order 2k+2 the only
+    # accepted code is (0,) + (1, 2)*k + (1,).
+    star = (0,) + (1, 2) * ((n - 2) // 2) + (1,) if n % 2 == 0 else None
+    return {}, tuple(map(str, range(n))), star
 
 
 def _rest_entry(rest: tuple[int, ...], names: tuple[str, ...]) -> tuple:
@@ -420,7 +414,7 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
     finally:
         # Records are cheap to rebuild; do not keep them past the sweep.
         _subtree_record.cache_clear()
-        _order_tables.clear()
+        _tables.cache_clear()
 
     gamma_records = {g: ExtremalRecord(g, r.mds_count, CanonicalCode.from_string(r.code), r.order)
                      for g, r in sorted(gamma_best.items())}

@@ -22,45 +22,57 @@ holds until the block ends, and the accepted sequences of a block are a
 prefix of it.
 
 Generation is split in two steps, and ``generate_trees`` is their
-composition.  ``block_starts`` visits each block once: it tests the
-block's first sequence, yields it if accepted, and jumps to the block's
-last sequence, where the rest of the tree is all leaves under the root;
-the successor moves on from there.  ``block_trees`` steps from an accepted
-start while each sequence is accepted and the successor keeps the first
-subtree.  The exhaustive sweep runs the first step in its parent process
-and the second in its workers.
+composition.  ``block_starts`` visits each block once: it yields the
+block's first sequence and jumps to the block's last sequence, where the
+rest of the tree is all leaves under the root; the successor moves on from
+there.  ``block_trees`` steps from a start while each sequence is accepted
+and the successor keeps the first subtree.  The exhaustive sweep runs the
+first step in its parent process and the second in its workers.
 
-A sequence whose root has a single child is a block of its own, and for
-n > 2 it is always rejected: its root is a leaf, never a center.  So
-``block_starts`` never tests one.  The successor of such a sequence lowers
-only its last level, by one, so the sequences that follow it down to a
-last level of 1 agree with it everywhere else; each has a single root
-child too.  The walk therefore sets the last level to 1 at once.  That
-sequence is a valid canonical rooted sequence: the root's first subtree is
-the old one less its last vertex, still canonical, followed by a leaf,
-which is the smallest possible sibling and the whole rest of its block.
+A first subtree can be too big for its tree.  Let d be its depth (its
+levels start 1, 2, ..., d) and ``budget = n - d``.  To reach depth d - 1
+the rest of the tree needs d - 1 vertices besides the root, so a first
+subtree of more than ``budget`` vertices leaves the root off center, and
+the block is rejected.  The walk then skips ahead.  No sequence it visits
+is larger than the centrally rooted path it starts from, so
+d <= n // 2 <= ``budget``, and the first ``budget`` vertices after the
+root hold the whole path 1..d.  The sequences that follow, down to the
+first whose root's first subtree is exactly positions 1..budget, keep
+``levels[:budget + 1]`` and have a level of at least 2 at position
+``budget + 1``: their first subtrees have depth at least d and more than
+``budget`` vertices.  The block that first subtree starts is rejected too:
+its rest has only d - 1 vertices besides the root, so it reaches depth
+d - 1 only as a path, and then it has d vertices with the root, no more
+than the first subtree's ``budget``.  On equal sizes both halves are
+paths; that is the centrally rooted path the walk starts from, which is
+larger than any sequence it jumps from.  So the walk jumps to the end of
+that block, as if the first subtree ended at position ``budget``.
 
-A first subtree can also be too big for its tree.  Let d be its depth
-(its levels start 1, 2, ..., d) and ``budget = n - d``.  To reach depth
-d - 1 the rest of the tree needs d - 1 vertices besides the root, so a
-first subtree of more than ``budget`` vertices leaves the root off
-center, and the block is rejected.  The walk then skips ahead.  No
-sequence it visits is larger than the centrally rooted path it starts
-from, so d <= n // 2 <= ``budget``, and the first ``budget`` vertices
-after the root hold the whole path 1..d.  The sequences that follow,
-down to the first whose root's first subtree is exactly positions
-1..budget, keep ``levels[:budget + 1]`` and have a level of at least 2
-at position ``budget + 1``: their first subtrees have depth at least d
-and more than ``budget`` vertices.  The block that first subtree starts
-is rejected too: its rest has only d - 1 vertices besides the root, so
-it reaches depth d - 1 only as a path, and then it has d vertices with
-the root, no more than the first subtree's ``budget``.  On equal sizes
-both halves are paths; that is the centrally rooted path the walk starts
-from, which is larger than any sequence it jumps from.  So the walk
-jumps to the end of that block, as if the first subtree ended at
-position ``budget``.  At order 18 this cuts the walk's canonicity tests
-from 305,951 to 5,374, one more than the 5,373 blocks that hold a free
-tree.
+That one jump is the whole walk; it needs no other rule and tests no
+block:
+
+- A single root child.  For n >= 3 the first subtree has n - 1 vertices
+  and depth d >= 2, more than ``budget = n - d``, so the jump skips the
+  block.  Orders 1 and 2 run the same loop: their one sequence is the
+  centrally rooted path, whose first subtree (empty at order 1) fits.
+- Every block the walk reaches without jumping holds a free tree.  The
+  first sequence is the centrally rooted path, a free code.  Every later
+  start comes from the rooted successor at a position p inside the
+  previous first subtree, after that block's rest was set to leaves (after
+  a jump, inside its first ``budget`` positions).  If ``levels[p] > 2``,
+  the new sequence repeats p's parent's subtree from p on, so its root has
+  a single child, and the walk jumps past it.  If ``levels[p] == 2``, p's
+  parent is position 1, the only 1 before p, so the new first subtree S
+  is ``levels[1:p]`` and the rest is S repeated, cut to length.  Let d' be the depth of the
+  previous first subtree.  S has s = p - 1 <= n - d' - 1 vertices,
+  because p is at most the previous first subtree's end less one, which
+  is at most n - d'; and S has depth d <= d'.  So the rest has
+  n - 1 - s >= d vertices, and its first copy of S reaches depth d.  S
+  re-rooted has height d - 1, so the canonicity test accepts at its first
+  comparison.
+
+The same argument shows that a block's first rest, the largest rest it
+accepts, is its first subtree repeated.
 
 Correctness is not taken on faith: the test suite checks the stream, and
 the concatenated block slices, against the generator without any skip,
@@ -113,11 +125,8 @@ class CanonicalCode:
 
     def to_string(self) -> str:
         """``c n`` and the parents of vertices 1..n-1.  Expects a tree's
-        levels and, unlike ``parents``, does not check them: the exhaustive
-        sweep writes the code of every tree."""
-        n = self.n
-        names = _INT_STRINGS if n <= len(_INT_STRINGS) else tuple(map(str, range(n)))
-        return " ".join(["c", str(n), *_parent_names(self.levels, names)])
+        levels and, unlike ``parents``, does not check them."""
+        return " ".join(["c", str(self.n), *map(str, _parent_names(self.levels, range(self.n)))])
 
     @classmethod
     def from_string(cls, text: str) -> "CanonicalCode":
@@ -160,11 +169,6 @@ class CanonicalCode:
         return Forest(n=n, edges=sorted(zip(parents, range(1, n))), adj=adj,
                       components=[vertices],
                       rooted={0: RootedTree(order=vertices, parent=[-1, *parents])})
-
-
-# Decimal strings of the vertex ids that most codes use; to_string looks
-# them up instead of formatting each parent id.
-_INT_STRINGS = tuple(map(str, range(256)))
 
 
 def _parent_names(levels, names) -> list:
@@ -213,32 +217,27 @@ def block_starts(n: int) -> Iterator[tuple[int, ...]]:
     """First sequence of every first-subtree block of order n that holds a
     free tree, in stream order.
 
-    Each block is visited once: its first sequence is tested, then the
-    walk jumps to the block's end.  Sequences whose root has a single child,
-    and runs of blocks whose first subtree is too big for the tree, are
-    skipped untested.
+    Each block is visited once: the walk yields its first sequence
+    untested, then jumps to the block's end.  Runs of blocks whose first
+    subtree is too big for the tree, single root children among them, are
+    skipped.  Every block reached without that jump holds a free tree: its
+    first subtree S came from the previous one, its rest is S repeated,
+    and the rest is long enough to reach S's depth, so the root is a
+    center (see the module docstring).
     """
     if n < 1:
         raise ValueError(f"order must be at least 1, got {n}")
-    if n <= 2:
-        yield tuple(range(n))
-        return
     # Path rooted at its center: the largest canonical free code of order n.
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
         m = _first_subtree_end(levels)
-        if m == n:
-            # A single root child: the run down to a last level of 1 is
-            # rejected, and that sequence starts a block of its own.
-            levels[-1] = 1
-            m = n - 1
-        budget = n - max(levels[1:m])
+        budget = n - max(levels[1:m], default=0)
         if m - 1 > budget:
             # Too big a first subtree: every block down to the end of the
             # one whose first subtree is the first ``budget`` vertices is
             # rejected, so jump to that block's end.
             m = budget + 1
-        elif _is_free_canonical(levels, m):
+        else:
             yield tuple(levels)
         # Jump to the last sequence of this block: the rest of the tree
         # becomes leaves under the root.

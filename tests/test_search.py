@@ -17,10 +17,10 @@ from domcount.search import (
     DiagnosticsReport,
     HubConfiguration,
     _block_rows,
-    _order_tables,
     _records,
     _rows,
     _subtree_record,
+    _tables,
     compute_growth_base,
     extremal_diagnostics,
     mis_order_bound,
@@ -242,6 +242,16 @@ def test_search_deterministic_across_workers():
     assert report_csv_lines(solo) == report_csv_lines(multi)
 
 
+def cached_rests(n):
+    # The rests memo of order n, which must be the one entry the tables
+    # cache holds: reading it hits the cache and evicts nothing.
+    info = _tables.cache_info()
+    assert info.currsize == 1
+    rests = _tables(n)[0]
+    assert _tables.cache_info().misses == info.misses, n
+    return rests
+
+
 def test_kernel_rows_match_forest_oracle():
     # The level-sequence kernel against one decoded Forest and the public
     # counters and recognizer per tree.  Each order runs from cold memos,
@@ -250,14 +260,14 @@ def test_kernel_rows_match_forest_oracle():
         for n in range(1, 17):
             expected = forest_tree_rows([code.levels for code in generate_trees(n)])
             _subtree_record.cache_clear()
-            _order_tables.clear()
+            _tables.cache_clear()
             for memos in ("cold", "warm"):
                 rows = [row for start in block_starts(n) for row in _block_rows(start)]
                 assert rows == expected, (n, memos)
-            assert list(_order_tables) == [n]
+            cached_rests(n)
     finally:
         _subtree_record.cache_clear()
-        _order_tables.clear()
+        _tables.cache_clear()
 
 
 def test_rest_memo_holds_one_order():
@@ -267,12 +277,11 @@ def test_rest_memo_holds_one_order():
         for n in (7, 8, 7, 12):
             for start in block_starts(n):
                 _block_rows(start)
-            assert list(_order_tables) == [n]
             levels = [code.levels for code in generate_trees(n)]
-            assert set(_order_tables[n][0]) == {seq[_first_subtree_end(seq):] for seq in levels}
+            assert set(cached_rests(n)) == {seq[_first_subtree_end(seq):] for seq in levels}
     finally:
         _subtree_record.cache_clear()
-        _order_tables.clear()
+        _tables.cache_clear()
 
 
 def test_records_match_tables_on_every_subtree():
@@ -294,22 +303,30 @@ def test_records_match_tables_on_every_subtree():
 def test_sweep_releases_the_subtree_memo(monkeypatch):
     search_extremal(1, 10)
     assert _subtree_record.cache_info().currsize == 0
-    assert not _order_tables
+    assert _tables.cache_info().currsize == 0
+    rest_entries = [0]
+    rest_entry = search._rest_entry
+
+    def counting_rest_entry(*args):
+        rest_entries[0] += 1
+        return rest_entry(*args)
+
     filled = []
 
     def failing_check(gamma, count):
         if gamma == 4:
             filled.append((_subtree_record.cache_info().currsize,
-                           sum(len(rests) for rests, *_ in _order_tables.values())))
+                           _tables.cache_info().currsize, rest_entries[0]))
             raise RuntimeError("check failed")
         return verify_mds_bound(gamma, count)
 
+    monkeypatch.setattr(search, "_rest_entry", counting_rest_entry)
     monkeypatch.setattr(search, "verify_mds_bound", failing_check)
     with pytest.raises(RuntimeError, match="check failed"):
         search_extremal(1, 10)
-    assert filled[0][0] > 0 and filled[0][1] > 0
+    assert filled[0][0] > 0 and filled[0][1] == 1 and filled[0][2] > 0
     assert _subtree_record.cache_info().currsize == 0
-    assert not _order_tables
+    assert _tables.cache_info().currsize == 0
 
 
 def test_kernel_matches_counters_on_random_trees():
@@ -332,7 +349,7 @@ def test_kernel_matches_counters_on_random_trees():
             stars += shape.is_subdivided_star
     finally:
         _subtree_record.cache_clear()
-        _order_tables.clear()
+        _tables.cache_clear()
     assert stars >= 50
 
 

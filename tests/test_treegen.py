@@ -23,6 +23,8 @@ from strategies import labeled_trees, random_tree, relabeled
 from domcount.forest import build_forest, disjoint_union, path, root_at, spider, star
 from domcount.treegen import (
     CanonicalCode,
+    _first_subtree_end,
+    _is_free_canonical,
     _rooted_levels,
     _tree_centers,
     block_starts,
@@ -88,10 +90,23 @@ def test_block_slices_concatenate_to_stream():
 
 
 def test_block_starts_match_stepwise_walk():
-    # The jump past oversized first subtrees must not change the block
-    # starts: compare with the walk that tests every block.
-    for n in range(1, 18):
+    # The walk with only the jump past oversized first subtrees must not
+    # change the block starts: compare with the walk that tests every
+    # block with more than one root child.
+    for n in range(1, 19):
         assert list(block_starts(n)) == list(stepwise_block_starts(n))
+
+
+def test_block_starts_hold_free_trees():
+    # Why the walk tests no block: every start's rest of the tree is its
+    # first subtree repeated, cut to length, and the start is canonical.
+    # The single vertex has no first subtree for the test to measure.
+    assert list(block_starts(1)) == [(0,)]
+    for n in range(2, 19):
+        for start in block_starts(n):
+            m = _first_subtree_end(start)
+            assert start[m:] == (start[1:m] * n)[:n - m], start
+            assert _is_free_canonical(start, m), start
 
 
 def counted_canonicity_tests(monkeypatch):
@@ -107,22 +122,22 @@ def counted_canonicity_tests(monkeypatch):
 
 
 def test_generator_skips_rejected_blocks(monkeypatch):
-    # Canonicity tests made at order 16: one per block the walk does not
-    # jump over and one per further tree of an accepted block.  Without
-    # any skip the generator makes one per rooted sequence, 185,032 of
-    # them; without the jump past oversized first subtrees, 59,805.
+    # Canonicity tests made at order 16, all inside blocks: one per
+    # sequence after a block's start that the successor reaches without
+    # leaving the first subtree.  Without any skip the generator
+    # makes one per rooted sequence, 185,032 of them; without the jump past
+    # oversized first subtrees, 59,805.
     calls = counted_canonicity_tests(monkeypatch)
     assert sum(1 for _ in generate_trees(16)) == 19320
-    assert calls[0] <= 20_543
+    assert calls[0] <= 19_312
 
 
 def test_block_walk_skips_oversized_first_subtrees(monkeypatch):
     # 5,373 blocks of order 18 hold free trees; the walk that tests every
-    # block makes 305,951 tests to find them, and this one rejects a single
-    # block.
+    # block makes 305,951 tests to find them, and this one makes none.
     calls = counted_canonicity_tests(monkeypatch)
     assert sum(1 for _ in block_starts(18)) == 5373
-    assert calls[0] <= 5_374
+    assert calls[0] == 0
 
 
 def forest_fields(forest):
