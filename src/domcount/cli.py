@@ -16,7 +16,7 @@ from .family import balanced_partition, build_family_tree, closed_form_count, fa
 from .forest import parse_forest
 from .independence import brute_force_independence, count_max_independent_sets, enumerate_max_independent_sets
 from .limits import oracle_max_order
-from .search import report_csv_lines, report_text, search_extremal
+from .search import CSV_HEADER, report_text, search_extremal
 from .treegen import generate_trees
 
 
@@ -140,14 +140,11 @@ def _cmd_search(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must be between 1 and the CPU count {cpus}, got {args.jobs}")
+    # Rows are written as each task's CSV text arrives, and never held.
     report = search_extremal(args.min_order, args.max_order, jobs=args.jobs,
-                             emit_rows=args.emit_all)
-    if args.format == "csv" or args.emit_all:
-        lines = report_csv_lines(report)
-        # A few thousand lines per write: one string of every line would
-        # hold the whole CSV text a second time.
-        for i in range(0, len(lines), 4096):
-            sys.stdout.write("\n".join(lines[i:i + 4096]) + "\n")
+                             write=sys.stdout.write if args.emit_all else None)
+    if args.format == "csv" and not args.emit_all:
+        sys.stdout.write(CSV_HEADER + "\n")
     (sys.stderr if args.format == "csv" else sys.stdout).write(report_text(report))
     return 1 if report.violation_count else 0
 

@@ -11,7 +11,7 @@ the exact number of sets of that size for three states:
   sigma2 -- the vertex is out and not yet dominated (its parent must be in).
 
 ``_mds_merge`` merges one child's record into its parent's; the fold and
-the exhaustive sweep's kernel (``search._records`` and ``search._rows``)
+the exhaustive sweep's kernel (``search._records`` and ``search._fold_block``)
 both call it, so the recurrence is written once.  The merged result does not depend on the
 order children arrive in.  Merging a child adds sizes and multiplies
 counts; alternatives keep the smaller size and add counts on ties.  An

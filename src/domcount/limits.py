@@ -9,7 +9,7 @@ environment variable, which overrides both guards at once.
 import os
 
 DEFAULT_ORACLE_MAX_ORDER = 25
-DEFAULT_SEARCH_MAX_ORDER = 18
+DEFAULT_SEARCH_MAX_ORDER = 20
 
 _ENV_VAR = "DOMCOUNT_MAX_ORDER"
 

@@ -15,10 +15,10 @@ kept with a witness (ties broken to the smaller order, then the smaller
 canonical code).
 
 The parent process walks each order's first-subtree blocks
-(``treegen.block_starts``) and streams the block starts of all orders to
-the workers, _BLOCKS_PER_TASK at a time.  A worker generates each block's
-trees (``treegen.block_trees``) and turns every level sequence straight
-into its row; no ``Forest`` is built per tree, and only the per-gamma
+(``treegen.block_starts``) and cuts the block starts of all orders into
+tasks of _BLOCKS_PER_TASK starts.  A worker generates each block's trees
+(``treegen.block_trees``) and folds every level sequence straight into its
+task's partial; no ``Forest`` is built per tree, and only the per-gamma
 record witnesses are decoded, for their diagnostics.  A subtree's (MDS,
 MIS) root records come from one recursion over slices of the sequence:
 its children are the entries one level below its first, each child's
@@ -32,25 +32,31 @@ rests recur across the blocks of an order: 2,677 rests serve the 19,320
 trees of order 16.  A second per-process memo, kept for one order at a
 time, holds each rest's root record over its own children and its part of
 the code string.  A tree then costs one merge per counter, of the rest's
-record with the first subtree's, the bound checks and one string
-concatenation.  The merged result does not depend on the order children
-are merged in, so the first subtree may come last.  Rows are ``TreeRow``
-NamedTuples, so a block's rows travel back to the parent pickled as plain
-tuples behind one reference to the class.
+record with the first subtree's, and the bound checks.  The merged result
+does not depend on the order children are merged in, so the first subtree
+may come last.
 
-The parent folds the returned rows in block order, which is stream order:
-orders ascend, blocks follow the generator, and codes strictly increase
-within an order.  So the first row to reach a record count is the
-tie-break winner whatever the worker count, and the report is identical
-for every ``jobs`` value.
+A task's partial holds its tree count, per gamma and per alpha the first
+of its trees to reach the task's best count, and its violations in order.
+A tree's code string is built only when it sets a task record, fails a
+check or is emitted as a row.  The parent merges the partials in task
+order, which is stream order: orders ascend, blocks follow the generator,
+and codes strictly increase within an order.  It replaces a record only
+on a strictly larger count, so the first tree to reach a record count is
+the tie-break winner whatever the worker count and task size, and the
+report is identical for every ``jobs`` value.  Rows, when wanted, come
+back with their task: as ``TreeRow`` tuples, or as one CSV text that the
+caller writes as it arrives, so the parent never holds every row.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import multiprocessing
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -71,8 +77,8 @@ from .treegen import generate_trees  # noqa: F401
 _BOUND_NUMERATOR = 24606
 _BOUND_DENOMINATOR = 10000
 
-# imap's chunk size: first-subtree blocks per worker task.  Chunks may span
-# orders; order 16 has 1,230 blocks, none with over 3 % of its trees.
+# First-subtree blocks per task.  Tasks may span orders; order 16 has 1,230
+# blocks, none with over 3 % of its trees.
 _BLOCKS_PER_TASK = 64
 
 
@@ -306,14 +312,50 @@ def _alone(acc, child):
     return acc
 
 
-def _rows(start: tuple[int, ...], trees) -> list[TreeRow]:
+@dataclass
+class _Partial:
+    """One task's share of a sweep.  Per gamma and per alpha a record is
+    (count, order, code) of the first tree to reach the task's best count;
+    violations are (code, detail) in stream order.  ``rows`` is a list of
+    ``TreeRow``, the rows' CSV text, or None when no rows are wanted."""
+    trees: int = 0
+    gamma_best: dict[int, tuple[int, int, str]] = field(default_factory=dict)
+    alpha_best: dict[int, tuple[int, int, str]] = field(default_factory=dict)
+    mds_violations: list[tuple[str, str]] = field(default_factory=list)
+    mis_violations: list[tuple[str, str]] = field(default_factory=list)
+    order_violations: list[tuple[str, str]] = field(default_factory=list)
+    rows: list | str | None = None
+
+
+def _note_violations(part: _Partial, row: TreeRow, order_bound: int) -> None:
+    """Append the checks ``row`` fails to ``part``'s violation lists."""
+    if not row.mds_bound_ok:
+        part.mds_violations.append(
+            (row.code, f"gamma={row.gamma} count={row.mds_count} exceeds 2.4606^gamma"))
+    if not row.mis_bound_ok:
+        part.mis_violations.append(
+            (row.code, f"alpha={row.alpha} count={row.mis_count} exceeds 2^(alpha-1)+1"))
+    elif row.mis_equality != row.is_subdivided_star:
+        part.mis_violations.append(
+            (row.code,
+             f"alpha={row.alpha} count={row.mis_count} equality={row.mis_equality} "
+             f"recognizer={row.is_subdivided_star}"))
+    if row.mis_count > order_bound:
+        part.order_violations.append(
+            (row.code, f"order={row.order} count={row.mis_count} exceeds order bound {order_bound}"))
+
+
+def _fold_block(part: _Partial, start: tuple[int, ...], trees, make_row=None) -> None:
     """Count and check ``trees``, level sequences of ``start``'s order that
-    share its first subtree; one row per tree, in the given order.
+    share its first subtree, and fold them into ``part`` in the given order.
+    With ``make_row`` (``TreeRow`` or ``_csv_line``), one row per tree is
+    appended to ``part.rows``.
 
     The first subtree's records and code prefix are read once.  Each
     tree's rest of the tree comes from the order's memo, so a tree costs
     one merge per counter of the rest's root record with the first
-    subtree's, the bound checks and one string concatenation.
+    subtree's, the bound checks and, only for a row, a new task record or
+    a failed check, one string concatenation.
     """
     n = len(start)
     rests, names, star = _tables(n)
@@ -325,9 +367,12 @@ def _rows(start: tuple[int, ...], trees) -> list[TreeRow]:
     else:
         first_mds = first_mis = None
         mds_merge = mis_merge = _alone
-    rows = []
-    append = rows.append
+    order_bound = mis_order_bound(n)
+    gamma_best, alpha_best = part.gamma_best, part.alpha_best
+    append = part.rows.append if make_row else None
+    count = 0
     for levels in trees:
+        count += 1
         rest = levels[m:]
         entry = rests.get(rest)
         if entry is None:
@@ -337,30 +382,56 @@ def _rows(start: tuple[int, ...], trees) -> list[TreeRow]:
         gamma, mds_count = _pick_min(z0, c0, z1, c1)
         alpha, mis_count = _pick_max(*mis_merge(rest_mis, first_mis))
         bound = _mis_alpha_bound(alpha)
-        append(TreeRow(n, prefix + suffix, gamma, mds_count, alpha, mis_count,
-                       verify_mds_bound(gamma, mds_count), mis_count <= bound,
-                       mis_count == bound, levels == star))
-    return rows
+        mds_ok = verify_mds_bound(gamma, mds_count)
+        is_star = levels == star
+        if append:
+            append(make_row(n, prefix + suffix, gamma, mds_count, alpha, mis_count, mds_ok,
+                            mis_count <= bound, mis_count == bound, is_star))
+        best = gamma_best.get(gamma)
+        if best is None or mds_count > best[0]:
+            gamma_best[gamma] = (mds_count, n, prefix + suffix)
+        best = alpha_best.get(alpha)
+        if best is None or mis_count > best[0]:
+            alpha_best[alpha] = (mis_count, n, prefix + suffix)
+        if not mds_ok or mis_count > bound or (mis_count == bound) != is_star or mis_count > order_bound:
+            _note_violations(part, TreeRow(n, prefix + suffix, gamma, mds_count, alpha, mis_count,
+                                           mds_ok, mis_count <= bound, mis_count == bound, is_star),
+                             order_bound)
+    part.trees += count
 
 
-def _block_rows(start: tuple[int, ...]) -> list[TreeRow]:
-    """Generate, count and check every tree of one first-subtree block;
-    one row per tree, in stream order."""
-    return _rows(start, block_trees(start))
+def _sweep_task(starts, make_row=None) -> _Partial:
+    """Generate, count and check every tree of the blocks at ``starts``, in
+    stream order, into one partial.  With ``make_row=_csv_line`` the rows
+    come back as one CSV text."""
+    part = _Partial(rows=[] if make_row else None)
+    for start in starts:
+        _fold_block(part, start, block_trees(start), make_row)
+    if make_row is _csv_line:
+        part.rows = "".join([line + "\n" for line in part.rows])
+    return part
 
 
-def search_extremal(min_order: int, max_order: int, jobs: int = 1,
-                    emit_rows: bool = False) -> SearchReport:
+def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bool = False,
+                    write: Callable[[str], object] | None = None) -> SearchReport:
     """Sweep all free trees with min_order <= n <= max_order.
 
     Every tree gets the three bound checks, and every per-gamma record
-    witness gets ``extremal_diagnostics``.  Workers generate and map
-    first-subtree blocks to rows; this function folds the rows in block
-    order, which is the generation stream's order.  The stream has
-    ascending orders and strictly increasing codes within an order, so
-    keeping the first row that reaches a record count breaks ties to the
-    smaller order, then the smaller code.  The report is byte-for-byte
-    identical for every ``jobs`` value.
+    witness gets ``extremal_diagnostics``.  The stream of first-subtree
+    blocks is cut into tasks of _BLOCKS_PER_TASK blocks; each task, run by
+    a worker or in this process when ``jobs`` is 1, folds its trees into a
+    partial, and this function merges the partials in task order, which is
+    the generation stream's order.  The stream has ascending orders and
+    strictly increasing codes within an order, and a task's record is the
+    first of its trees to reach its best count, so replacing a record only
+    on a strictly larger count breaks ties to the smaller order, then the
+    smaller code.  The report is byte-for-byte identical for every ``jobs``
+    value and every task size.
+
+    With ``emit_rows``, ``report.rows`` lists every tree's ``TreeRow``.
+    With ``write``, the CSV header and then each task's rows, as CSV text,
+    are passed to ``write`` in stream order once the arguments are checked,
+    and no row is kept.
     """
     ceiling = search_max_order()
     if not 1 <= min_order <= max_order:
@@ -369,57 +440,45 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1,
         raise ValueError(f"max order {max_order} exceeds the search ceiling {ceiling}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if emit_rows and write is not None:
+        raise ValueError("emit_rows and write are exclusive")
 
     trees = 0
-    gamma_best: dict[int, TreeRow] = {}
-    alpha_best: dict[int, TreeRow] = {}
+    gamma_best: dict[int, tuple[int, int, str]] = {}
+    alpha_best: dict[int, tuple[int, int, str]] = {}
     mds_violations: list[tuple[str, str]] = []
     mis_violations: list[tuple[str, str]] = []
     order_violations: list[tuple[str, str]] = []
     rows: list[TreeRow] | None = [] if emit_rows else None
-    bound_order = order_bound = None
+    if write is not None:
+        write(CSV_HEADER + "\n")
+    task = functools.partial(_sweep_task, make_row=_csv_line if write else TreeRow if emit_rows else None)
     starts = (start for n in range(min_order, max_order + 1) for start in block_starts(n))
+    tasks = iter(lambda: list(itertools.islice(starts, _BLOCKS_PER_TASK)), [])
     try:
         with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-            for batch in (pool.imap(_block_rows, starts, _BLOCKS_PER_TASK) if pool
-                          else map(_block_rows, starts)):
-                for row in batch:
-                    trees += 1
-                    if not row.mds_bound_ok:
-                        mds_violations.append(
-                            (row.code, f"gamma={row.gamma} count={row.mds_count} exceeds 2.4606^gamma"))
-                    if not row.mis_bound_ok:
-                        mis_violations.append(
-                            (row.code, f"alpha={row.alpha} count={row.mis_count} exceeds 2^(alpha-1)+1"))
-                    elif row.mis_equality != row.is_subdivided_star:
-                        mis_violations.append(
-                            (row.code,
-                             f"alpha={row.alpha} count={row.mis_count} equality={row.mis_equality} "
-                             f"recognizer={row.is_subdivided_star}"))
-                    if row.order != bound_order:
-                        bound_order = row.order
-                        order_bound = mis_order_bound(bound_order)
-                    if row.mis_count > order_bound:
-                        order_violations.append(
-                            (row.code,
-                             f"order={row.order} count={row.mis_count} exceeds order bound {order_bound}"))
-                    best = gamma_best.get(row.gamma)
-                    if best is None or row.mds_count > best.mds_count:
-                        gamma_best[row.gamma] = row
-                    best = alpha_best.get(row.alpha)
-                    if best is None or row.mis_count > best.mis_count:
-                        alpha_best[row.alpha] = row
-                    if emit_rows:
-                        rows.append(row)
+            for part in pool.imap(task, tasks) if pool else map(task, tasks):
+                trees += part.trees
+                for best, records in ((gamma_best, part.gamma_best), (alpha_best, part.alpha_best)):
+                    for key, record in records.items():
+                        if key not in best or record[0] > best[key][0]:
+                            best[key] = record
+                mds_violations += part.mds_violations
+                mis_violations += part.mis_violations
+                order_violations += part.order_violations
+                if write is not None:
+                    write(part.rows)
+                elif emit_rows:
+                    rows += part.rows
     finally:
         # Records are cheap to rebuild; do not keep them past the sweep.
         _subtree_record.cache_clear()
         _tables.cache_clear()
 
-    gamma_records = {g: ExtremalRecord(g, r.mds_count, CanonicalCode.from_string(r.code), r.order)
-                     for g, r in sorted(gamma_best.items())}
-    alpha_records = {a: ExtremalRecord(a, r.mis_count, CanonicalCode.from_string(r.code), r.order)
-                     for a, r in sorted(alpha_best.items())}
+    gamma_records = {g: ExtremalRecord(g, count, CanonicalCode.from_string(code), order)
+                     for g, (count, order, code) in sorted(gamma_best.items())}
+    alpha_records = {a: ExtremalRecord(a, count, CanonicalCode.from_string(code), order)
+                     for a, (count, order, code) in sorted(alpha_best.items())}
     return SearchReport(
         min_order=min_order,
         max_order=max_order,
@@ -442,13 +501,14 @@ CSV_HEADER = ("order,code,gamma,mds_count,alpha,mis_count,"
 _BOOLS = ("false", "true")
 
 
+def _csv_line(order, code, gamma, mds_count, alpha, mis_count, mds_ok, mis_ok, equality, is_star) -> str:
+    """One ``TreeRow``'s fields as a CSV line, without its newline."""
+    return (f"{order},{code},{gamma},{mds_count},{alpha},{mis_count},{_BOOLS[mds_ok]},"
+            f"{_BOOLS[mis_ok]},{_BOOLS[equality]},{_BOOLS[is_star]}")
+
+
 def report_csv_lines(report: SearchReport) -> list[str]:
-    lines = [CSV_HEADER]
-    lines += [f"{order},{code},{gamma},{mds_count},{alpha},{mis_count},{_BOOLS[mds_ok]},"
-              f"{_BOOLS[mis_ok]},{_BOOLS[equality]},{_BOOLS[is_star]}"
-              for order, code, gamma, mds_count, alpha, mis_count, mds_ok, mis_ok, equality, is_star
-              in report.rows or ()]
-    return lines
+    return [CSV_HEADER, *(_csv_line(*row) for row in report.rows or ())]
 
 
 def report_text(report: SearchReport) -> str:

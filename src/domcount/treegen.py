@@ -201,9 +201,10 @@ def _is_free_canonical(levels, m: int) -> bool:
     ``m`` is ``_first_subtree_end(levels)``.  The root must be a center:
     the first (tallest) subtree, re-rooted, may not be taller than the rest
     of the tree, and on equal heights the first subtree must not be bigger,
-    nor lexicographically later, than the rest.
+    nor lexicographically later, than the rest.  The single vertex, whose
+    first subtree is empty, is canonical.
     """
-    left_height = max(levels[1:m]) - 1
+    left_height = max(levels[1:m], default=0) - 1
     rest_height = max(levels[m:], default=0)
     if rest_height != left_height:
         return rest_height > left_height

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -211,9 +212,11 @@ def test_enumerate_negative_limit(capsys):
 
 
 def test_search_order_out_of_range(capsys):
-    code, _, err = run(capsys, "search", "--max-order", "99")
-    assert code == 2
-    assert "ceiling" in err
+    # The orders are checked before the CSV header is written.
+    for extra in ((), ("--format", "csv", "--emit-all")):
+        code, out, err = run(capsys, "search", "--max-order", "99", *extra)
+        assert (code, out) == (2, "")
+        assert "ceiling" in err
 
 
 def test_optimize_family_bad_gamma(capsys):
@@ -241,6 +244,21 @@ def test_search_violation_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "search", "--max-order", "4")
     assert code == 1
     assert "mds bound violations: 5" in out  # all five trees of orders 1..4
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched check only when forked")
+def test_worker_violations_match_across_jobs(capsys, monkeypatch):
+    # Every tree fails the MDS check inside its task; with one block per
+    # task both workers report violations, and the merge keeps stream order.
+    import domcount.search as search_module
+    monkeypatch.setattr(search_module, "verify_mds_bound", lambda gamma, count: False)
+    monkeypatch.setattr(search_module, "_BLOCKS_PER_TASK", 1)
+    argv = ("search", "--max-order", "6", "--format", "csv", "--emit-all", "--jobs")
+    solo, duo = run(capsys, *argv, "1"), run(capsys, *argv, "2")
+    assert solo == duo
+    assert solo[0] == 1
+    assert "mds bound violations: 14" in solo[2]  # all 14 trees of orders 1..6
 
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):

@@ -6,9 +6,10 @@ and the sweep; the demo digests from the build before the sweep kernel
 became one recursion over level slices; the text ``--emit-all`` and the
 row-less CSV search digests from the build before ``search`` wrote its
 rows through one path; the forest command digests from the build before
-every fold combined its components through one driver.  Any change to counts, record
-witnesses, tie-breaks, CSV rows, report text, stderr or exit codes shows
-up here as a digest mismatch.
+every fold combined its components through one driver; the 1..16 search
+digests from the build before each worker folded its own tasks.  Any
+change to counts, record witnesses, tie-breaks, CSV rows, report text,
+stderr or exit codes shows up here as a digest mismatch.
 """
 
 import hashlib
@@ -31,6 +32,10 @@ SEARCH_GOLDEN = {
     ("--min-order", "1", "--max-order", "13", "--emit-all", "--format", "csv"): (
         "70cb800edd4ee3040e0e9fbb87e7ec843031128c9d7257e55aa9306dd99781eb",
         "b8db29fb39a7c2f97b4b553a320959105bc310e362683947acb129d2772d95f2", 0),
+    # Every tree of orders 1..16, 32,508 rows over many worker tasks.
+    ("--min-order", "1", "--max-order", "16", "--emit-all", "--format", "csv"): (
+        "2826afc1f1714068195f969af740aebfa0a5e69b102114131450c036301663de",
+        "054e3c8ffa6a80733435f3b89ecee8da2f7d43dbf2f28ca85a3f722ac440ca78", 0),
     # The text report writes nothing to stderr: that digest is of "".
     ("--max-order", "12"): (
         "ef6f34cc291141014da6493f93092e65212a336a64a91acde7c6778e113d863b",

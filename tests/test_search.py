@@ -16,10 +16,12 @@ from domcount.independence import SpiderShape, count_max_independent_sets, is_su
 from domcount.search import (
     DiagnosticsReport,
     HubConfiguration,
-    _block_rows,
+    TreeRow,
+    _fold_block,
+    _Partial,
     _records,
-    _rows,
     _subtree_record,
+    _sweep_task,
     _tables,
     compute_growth_base,
     extremal_diagnostics,
@@ -242,6 +244,24 @@ def test_search_deterministic_across_workers():
     assert report_csv_lines(solo) == report_csv_lines(multi)
 
 
+def test_merge_is_independent_of_task_size(monkeypatch):
+    # With one block per task, trees that tie on a record count fall in
+    # different tasks; the merge keeps the first.  Rows as text, rows as
+    # TreeRows and no rows give one report.
+    texts, csvs = set(), set()
+    for size in (1, 7, 64):
+        monkeypatch.setattr(search, "_BLOCKS_PER_TASK", size)
+        for jobs in (1, 2):
+            chunks = []
+            texts.add(report_text(search_extremal(1, 12, jobs=jobs, write=chunks.append)))
+            csvs.add("".join(chunks))
+            report = search_extremal(1, 12, jobs=jobs, emit_rows=True)
+            texts.add(report_text(report))
+            csvs.add("".join(line + "\n" for line in report_csv_lines(report)))
+            texts.add(report_text(search_extremal(1, 12, jobs=jobs)))
+    assert len(texts) == len(csvs) == 1
+
+
 def cached_rests(n):
     # The rests memo of order n, which must be the one entry the tables
     # cache holds: reading it hits the cache and evicts nothing.
@@ -262,7 +282,7 @@ def test_kernel_rows_match_forest_oracle():
             _subtree_record.cache_clear()
             _tables.cache_clear()
             for memos in ("cold", "warm"):
-                rows = [row for start in block_starts(n) for row in _block_rows(start)]
+                rows = _sweep_task(block_starts(n), TreeRow).rows
                 assert rows == expected, (n, memos)
             cached_rests(n)
     finally:
@@ -275,8 +295,7 @@ def test_rest_memo_holds_one_order():
     # suffixes name positions after a first subtree of another size.
     try:
         for n in (7, 8, 7, 12):
-            for start in block_starts(n):
-                _block_rows(start)
+            _sweep_task(block_starts(n))
             levels = [code.levels for code in generate_trees(n)]
             assert set(cached_rests(n)) == {seq[_first_subtree_end(seq):] for seq in levels}
     finally:
@@ -341,7 +360,9 @@ def test_kernel_matches_counters_on_random_trees():
             levels = canonical_code(forest).levels
             dom = count_min_dominating_sets(forest)
             ind = count_max_independent_sets(forest)
-            (row,) = _rows(levels, [levels])
+            part = _Partial(rows=[])
+            _fold_block(part, levels, [levels], TreeRow)
+            (row,) = part.rows
             assert row == forest_tree_rows([levels])[0]
             assert row[2:6] == (dom.gamma, dom.mds_count, ind.alpha, ind.mis_count)
             shape = is_subdivided_star(forest)
@@ -362,6 +383,10 @@ def test_search_parameter_validation():
         search_extremal(1, 99)
     with pytest.raises(ValueError):
         search_extremal(1, 5, jobs=0)
+    written = []
+    with pytest.raises(ValueError):
+        search_extremal(1, 5, emit_rows=True, write=written.append)
+    assert written == []
 
 
 def test_search_ceiling_env_override(monkeypatch):

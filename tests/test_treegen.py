@@ -100,9 +100,9 @@ def test_block_starts_match_stepwise_walk():
 def test_block_starts_hold_free_trees():
     # Why the walk tests no block: every start's rest of the tree is its
     # first subtree repeated, cut to length, and the start is canonical.
-    # The single vertex has no first subtree for the test to measure.
+    # The single vertex's first subtree is empty, and it is canonical too.
     assert list(block_starts(1)) == [(0,)]
-    for n in range(2, 19):
+    for n in range(1, 19):
         for start in block_starts(n):
             m = _first_subtree_end(start)
             assert start[m:] == (start[1:m] * n)[:n - m], start
