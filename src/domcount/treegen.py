@@ -5,51 +5,46 @@ the depth of every vertex in preorder, rooted at a center of the tree,
 with sibling subtrees arranged in lexicographically decreasing order; a
 bicentral tree is rooted at the center with the bigger (on equal sizes,
 the lexicographically later) half.  ``canonical_code`` keeps whichever
-center rooting the generator's own test, ``_is_free_canonical``, accepts.
+center rooting passes the generator's own rule, ``_rest_floor``.
 
 Generation steps through canonical *rooted* level sequences (Beyer and
 Hedetniemi's successor, in decreasing lexicographic order, starting from
 the path rooted at its center) and keeps exactly the sequences that are
 canonical for their free tree.  The stream is cut into first-subtree
 blocks, as in Wright, Richmond, Odlyzko and McKay's free-tree generator: a
-block is the run of sequences that share their root's first subtree.
-Within a block the first subtree and both sizes are fixed, and the rest of
-the tree only decreases lexicographically, so its height (the length of
-its initial run 0, 1, 2, ...) never grows.  Each rejection reason -- the
-rest is shorter than the first subtree; on equal heights, it has fewer
-vertices; on equal sizes too, it is lexicographically smaller -- therefore
-holds until the block ends, and the accepted sequences of a block are a
-prefix of it.
+block is the run of sequences that share their root's first subtree S.
+A sequence is canonical exactly when the rest of the tree, the levels
+after S, is at least S's floor (``_rest_floor``).  Within a block the
+floor is fixed and the rest only decreases, so a block's trees are
+exactly its rests from the first, S repeated (see the walk below), down
+to the floor.
 
-Generation is split in two steps, and ``generate_trees`` is their
-composition.  ``block_starts`` visits each block once: it yields the
-block's first sequence and jumps to the block's last sequence, where the
-rest of the tree is all leaves under the root; the successor moves on from
-there.  ``block_trees`` steps from a start while each sequence is accepted
-and the successor keeps the first subtree.  The exhaustive sweep runs the
+``generate_trees`` runs two steps.  ``block_starts`` visits each block
+once: it yields the block's first sequence and jumps to its last, where
+the rest is all leaves under the root; the successor moves on from
+there.  ``block_trees`` steps from a start while the rest stays at least
+the floor and the first subtree is kept.  The exhaustive sweep runs the
 first step in its parent process and the second in its workers.
 
 A first subtree can be too big for its tree.  Let d be its depth (its
-levels start 1, 2, ..., d) and ``budget = n - d``.  To reach depth d - 1
-the rest of the tree needs d - 1 vertices besides the root, so a first
-subtree of more than ``budget`` vertices leaves the root off center, and
-the block is rejected.  The walk then skips ahead.  No sequence it visits
-is larger than the centrally rooted path it starts from, so
-d <= n // 2 <= ``budget``, and the first ``budget`` vertices after the
-root hold the whole path 1..d.  The sequences that follow, down to the
-first whose root's first subtree is exactly positions 1..budget, keep
-``levels[:budget + 1]`` and have a level of at least 2 at position
-``budget + 1``: their first subtrees have depth at least d and more than
-``budget`` vertices.  The block that first subtree starts is rejected too:
-its rest has only d - 1 vertices besides the root, so it reaches depth
-d - 1 only as a path, and then it has d vertices with the root, no more
-than the first subtree's ``budget``.  On equal sizes both halves are
-paths; that is the centrally rooted path the walk starts from, which is
-larger than any sequence it jumps from.  So the walk jumps to the end of
-that block, as if the first subtree ended at position ``budget``.
+levels start 1, 2, ..., d) and ``budget = n - d``.  Every floor starts
+``[1, ..., d - 1]``, so a first subtree of more than ``budget`` vertices,
+leaving the rest fewer than d - 1 vertices, is rejected, and the walk skips
+ahead.  No sequence it visits is larger than the centrally rooted path it
+starts from, so d <= n // 2 <= ``budget``, and the first ``budget``
+vertices after the root hold the whole path 1..d.  The sequences that
+follow, down to the first whose root's first subtree is exactly positions
+1..budget, keep ``levels[:budget + 1]`` and have a level of at least 2 at
+position ``budget + 1``: their first subtrees have depth at least d and
+more than ``budget`` vertices.  The block that first subtree starts is
+rejected too: its rest has d - 1 vertices, d with the root, no more than
+the first subtree's ``budget``.  If fewer, its floor ``[1, ..., d]`` is
+longer than the rest; on equal sizes only a path passes, the centrally
+rooted path the walk starts from, larger than any sequence it jumps from.
+So the walk jumps to the end of that block, as if the first subtree ended
+at position ``budget``.
 
-That one jump is the whole walk; it needs no other rule and tests no
-block:
+That one jump is the whole walk; it needs no other rule or test:
 
 - A single root child.  For n >= 3 the first subtree has n - 1 vertices
   and depth d >= 2, more than ``budget = n - d``, so the jump skips the
@@ -63,22 +58,17 @@ block:
   the new sequence repeats p's parent's subtree from p on, so its root has
   a single child, and the walk jumps past it.  If ``levels[p] == 2``, p's
   parent is position 1, the only 1 before p, so the new first subtree S
-  is ``levels[1:p]`` and the rest is S repeated, cut to length.  Let d' be the depth of the
-  previous first subtree.  S has s = p - 1 <= n - d' - 1 vertices,
-  because p is at most the previous first subtree's end less one, which
-  is at most n - d'; and S has depth d <= d'.  So the rest has
-  n - 1 - s >= d vertices, and its first copy of S reaches depth d.  S
-  re-rooted has height d - 1, so the canonicity test accepts at its first
-  comparison.
+  is ``levels[1:p]`` and the rest is S repeated, cut to length.  S has
+  depth d <= d', the previous first subtree's depth, and s = p - 1 <=
+  n - d' - 1 vertices, since p is at most that subtree's end less one,
+  at most n - d'.  So the rest has n - 1 - s >= d vertices and reaches
+  depth d: it is at least ``[1, ..., d]``, hence at least S's floor.
 
-The same argument shows that a block's first rest, the largest rest it
-accepts, is its first subtree repeated.
-
-Correctness is not taken on faith: the test suite checks the stream, and
-the concatenated block slices, against the generator without any skip,
-the block starts against the walk without the size jump,
-an independent labeled-tree oracle, OEIS A000055 and an
-automorphism-weighted count identity.
+Correctness is not taken on faith: the tests check the stream and the
+block slices against the generator without any skip, the block starts
+against the walk without the size jump, the floor against an independent
+center test, and the stream against a labeled-tree oracle, OEIS A000055
+and an automorphism-weighted count identity.
 
 Codes carry a total order under which the stream is strictly increasing:
 smaller orders first, and within one order path-like (deep) trees before
@@ -107,6 +97,8 @@ class CanonicalCode:
         return (len(self.levels), tuple(-x for x in self.levels))
 
     def __lt__(self, other: "CanonicalCode") -> bool:
+        if not isinstance(other, CanonicalCode):
+            return NotImplemented
         return self._key() < other._key()
 
     def parents(self) -> tuple[int, ...]:
@@ -195,23 +187,30 @@ def _first_subtree_end(levels) -> int:
     return levels.index(1, 2) if levels.count(1) > 1 else len(levels)
 
 
-def _is_free_canonical(levels, m: int) -> bool:
-    """Is this rooted sequence the canonical representative of its free tree?
+def _rest_floor(levels, m: int) -> list[int]:
+    """The smallest rest ``levels[m:]`` that keeps the root a center, for
+    ``m = _first_subtree_end(levels)``: the sequence is canonical exactly
+    when ``levels[m:] >= floor``, both lists.
 
-    ``m`` is ``_first_subtree_end(levels)``.  The root must be a center:
-    the first (tallest) subtree, re-rooted, may not be taller than the rest
-    of the tree, and on equal heights the first subtree must not be bigger,
-    nor lexicographically later, than the rest.  The single vertex, whose
-    first subtree is empty, is canonical.
+    Let d be the first subtree's depth (0 for the single vertex).  In a
+    canonical sequence the first subtree is the deepest, so the rest
+    reaches depth h exactly when it is at least ``[1, ..., h]``, and never
+    reaches d + 1.  The root is a center when the rest reaches d, or reaches d - 1
+    and the first subtree (m - 1 vertices) is not the bigger half (the
+    rest with the root has n - m + 1) nor, on equal sizes, the
+    lexicographically later one.  So the floor is:
+
+    - ``[1, ..., d - 1]`` for a smaller first subtree;
+    - ``[1, ..., d]`` for a bigger one;
+    - on equal sizes, the first subtree lifted one level without its root,
+      ``levels[2:m]`` each minus 1.  It starts 1, ..., d - 1 and stays
+      below d: a rest that reaches d is above it, one short of d - 1 below.
     """
-    left_height = max(levels[1:m], default=0) - 1
-    rest_height = max(levels[m:], default=0)
-    if rest_height != left_height:
-        return rest_height > left_height
+    depth = max(levels[1:m], default=0)
     left_size, rest_size = m - 1, len(levels) - m + 1
-    if left_size != rest_size:
-        return left_size < rest_size
-    return [x - 1 for x in levels[1:m]] <= [0, *levels[m:]]
+    if left_size == rest_size:
+        return [x - 1 for x in levels[2:m]]
+    return list(range(1, depth if left_size < rest_size else depth + 1))
 
 
 def block_starts(n: int) -> Iterator[tuple[int, ...]]:
@@ -221,10 +220,9 @@ def block_starts(n: int) -> Iterator[tuple[int, ...]]:
     Each block is visited once: the walk yields its first sequence
     untested, then jumps to the block's end.  Runs of blocks whose first
     subtree is too big for the tree, single root children among them, are
-    skipped.  Every block reached without that jump holds a free tree: its
-    first subtree S came from the previous one, its rest is S repeated,
-    and the rest is long enough to reach S's depth, so the root is a
-    center (see the module docstring).
+    skipped.  Every other block holds a free tree: its rest is its first
+    subtree S repeated, long enough to reach S's depth, so it is at least
+    S's floor (see the module docstring).
     """
     if n < 1:
         raise ValueError(f"order must be at least 1, got {n}")
@@ -250,13 +248,14 @@ def block_starts(n: int) -> Iterator[tuple[int, ...]]:
 def block_trees(start: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The free trees of the block that ``block_starts`` gave as ``start``.
 
-    Steps from the start while each sequence is accepted and the successor
-    keeps the first subtree, i.e. changes no position before its end.
+    Steps from the start while the successor changes no position of the
+    first subtree and the rest stays at least the block's floor.
     """
     levels = list(start)
     m = _first_subtree_end(levels)
+    floor = _rest_floor(levels, m)
     yield start
-    while _rooted_successor(levels, len(levels) - 1, m) and _is_free_canonical(levels, m):
+    while _rooted_successor(levels, len(levels) - 1, m) and levels[m:] >= floor:
         yield tuple(levels)
 
 
@@ -352,15 +351,16 @@ def _rooted_levels(tree: RootedTree) -> list[int]:
 
 def canonical_code(forest: Forest, component: int = 0) -> CanonicalCode:
     """Canonical code of one tree component of a forest: its first center
-    rooting that ``_is_free_canonical`` accepts.  Of a bicentral tree's two
-    rootings the test accepts at least one, so the last center is kept
-    untested, and so is a single center."""
+    rooting whose rest is at least its floor (``_rest_floor``).  Of a
+    bicentral tree's two rootings at least one passes, so the last center
+    is kept untested, and so is a single center."""
     count = forest.component_count
     if not 0 <= component < count:
         raise ValueError(f"component {component} is not one of the forest's {count} components")
     *others, last = _tree_centers(forest.adj, forest.components[component])
     for center in others:
         levels = _rooted_levels(root_at(forest, center))
-        if _is_free_canonical(levels, _first_subtree_end(levels)):
+        m = _first_subtree_end(levels)
+        if levels[m:] >= _rest_floor(levels, m):
             return CanonicalCode(tuple(levels))
     return CanonicalCode(tuple(_rooted_levels(root_at(forest, last))))

@@ -43,7 +43,7 @@ from domcount.forest import root_at
 from domcount.family import LocalPartition, TableRow, closed_form_count
 from domcount.independence import count_max_independent_sets, is_subdivided_star, mis_table
 from domcount.search import TreeRow, verify_mds_bound, verify_mis_bound
-from domcount.treegen import CanonicalCode, _first_subtree_end, _is_free_canonical, _rooted_successor
+from domcount.treegen import CanonicalCode, _first_subtree_end, _rooted_successor
 
 
 def labeled_parent_trees(n):
@@ -239,7 +239,7 @@ def filtered_free_levels(n):
 def stepwise_block_starts(n):
     """``treegen.block_starts`` as it was before it jumped past first
     subtrees too big for their tree: it tests the first sequence of every
-    block with more than one root child."""
+    block with more than one root child with ``_is_center_rooted``."""
     if n <= 2:
         yield tuple(range(n))
         return
@@ -249,7 +249,7 @@ def stepwise_block_starts(n):
         if m == n:
             levels[-1] = 1
             m = n - 1
-        if _is_free_canonical(levels, m):
+        if _is_center_rooted(levels):
             yield tuple(levels)
         levels[m:] = [1] * (n - m)
         if not _rooted_successor(levels, m - 1, 0):

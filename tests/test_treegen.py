@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import domcount.treegen as treegen_module
 from oracles import (
+    _is_center_rooted,
     automorphism_count,
     brute_force_isomorphic,
     filtered_free_levels,
@@ -24,8 +25,9 @@ from domcount.forest import build_forest, disjoint_union, path, root_at, spider,
 from domcount.treegen import (
     CanonicalCode,
     _first_subtree_end,
-    _is_free_canonical,
+    _rest_floor,
     _rooted_levels,
+    _rooted_successor,
     _tree_centers,
     block_starts,
     block_trees,
@@ -100,42 +102,56 @@ def test_block_starts_match_stepwise_walk():
 def test_block_starts_hold_free_trees():
     # Why the walk tests no block: every start's rest of the tree is its
     # first subtree repeated, cut to length, and the start is canonical.
-    # The single vertex's first subtree is empty, and it is canonical too.
+    # The oracle needs a first subtree, so the single vertex is checked
+    # on its own.
     assert list(block_starts(1)) == [(0,)]
-    for n in range(1, 19):
+    for n in range(2, 19):
         for start in block_starts(n):
             m = _first_subtree_end(start)
             assert start[m:] == (start[1:m] * n)[:n - m], start
-            assert _is_free_canonical(start, m), start
+            assert _is_center_rooted(start), start
 
 
-def counted_canonicity_tests(monkeypatch):
+def test_rest_floor_decides_canonicity():
+    # The floor comparison against the oracle's height/size/lex split, on
+    # every canonical rooted sequence of orders 2..14 (53,271 of them),
+    # stepped from the path rooted at an end.  The single vertex's empty
+    # rest meets its empty floor.
+    assert [] >= _rest_floor([0], 1)
+    for n in range(2, 15):
+        levels = list(range(n))
+        while True:
+            m = _first_subtree_end(levels)
+            assert (levels[m:] >= _rest_floor(levels, m)) == _is_center_rooted(levels), levels
+            if not _rooted_successor(levels, n - 1, 0):
+                break
+
+
+def counted_floors(monkeypatch):
     calls = [0]
-    test = treegen_module._is_free_canonical
+    floor = treegen_module._rest_floor
 
     def counting(*args):
         calls[0] += 1
-        return test(*args)
+        return floor(*args)
 
-    monkeypatch.setattr(treegen_module, "_is_free_canonical", counting)
+    monkeypatch.setattr(treegen_module, "_rest_floor", counting)
     return calls
 
 
 def test_generator_skips_rejected_blocks(monkeypatch):
-    # Canonicity tests made at order 16, all inside blocks: one per
-    # sequence after a block's start that the successor reaches without
-    # leaving the first subtree.  Without any skip the generator
-    # makes one per rooted sequence, 185,032 of them; without the jump past
-    # oversized first subtrees, 59,805.
-    calls = counted_canonicity_tests(monkeypatch)
+    # Order 16's 1,230 blocks each compute their floor once, and every
+    # sequence in a block compares its rest with it: nothing runs per tree.
+    calls = counted_floors(monkeypatch)
     assert sum(1 for _ in generate_trees(16)) == 19320
-    assert calls[0] <= 19_312
+    assert calls[0] == 1230
 
 
 def test_block_walk_skips_oversized_first_subtrees(monkeypatch):
     # 5,373 blocks of order 18 hold free trees; the walk that tests every
-    # block makes 305,951 tests to find them, and this one makes none.
-    calls = counted_canonicity_tests(monkeypatch)
+    # block makes 305,951 tests to find them, and this one computes no
+    # floor.
+    calls = counted_floors(monkeypatch)
     assert sum(1 for _ in block_starts(18)) == 5373
     assert calls[0] == 0
 
@@ -173,6 +189,18 @@ def test_generated_codes_are_distinct_and_increasing():
         assert len(set(codes)) == len(codes)
         for a, b in zip(codes, codes[1:]):
             assert a < b
+
+
+def test_codes_do_not_order_against_other_types():
+    code = CanonicalCode((0,))
+    for other in (1, None, (0,)):
+        with pytest.raises(TypeError):
+            code < other
+        with pytest.raises(TypeError):
+            other > code
+    with pytest.raises(TypeError):
+        sorted([code, None])
+    assert code != (0,)
 
 
 def test_decode_gives_connected_acyclic_tree():
