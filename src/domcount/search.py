@@ -16,25 +16,38 @@ canonical code).
 
 The parent process walks each order's first-subtree blocks
 (``treegen.block_starts``) and cuts the block starts of all orders into
-tasks of _BLOCKS_PER_TASK starts.  A worker generates each block's trees
-(``treegen.block_trees``) and folds every level sequence straight into its
-task's partial; no ``Forest`` is built per tree, and only the per-gamma
-record witnesses are decoded, for their diagnostics.  A subtree's (MDS,
-MIS) root records come from one recursion over slices of the sequence:
-its children are the entries one level below its first, each child's
-slice is looked up in a per-process memo of its records, and the records
-are merged with the counters' own ``_mds_merge`` and ``_mis_merge``.
+tasks of _BLOCKS_PER_TASK starts.  A worker folds every tree of each
+block straight into its task's partial; no ``Forest`` and no level
+sequence is built per tree, and only the per-gamma record witnesses are
+decoded, for their diagnostics.  A subtree's (MDS, MIS) root records come
+from one recursion over slices of the sequence: its children are the
+entries one level below its first, each child's slice is looked up in a
+per-process memo of its records, and the records are merged with the
+counters' own ``_mds_merge`` and ``_mis_merge``.
 
 Every tree of a block shares the root's first subtree, so its records and
 the code string's prefix, ``c n`` and the parents of the first subtree,
-are read once per block.  Only the rest of the tree changes, and the same
-rests recur across the blocks of an order: 2,677 rests serve the 19,320
-trees of order 16.  A second per-process memo, kept for one order at a
-time, holds each rest's root record over its own children and its part of
-the code string.  A tree then costs one merge per counter, of the rest's
-record with the first subtree's, and the bound checks.  The merged result
-does not depend on the order children are merged in, so the first subtree
-may come last.
+are read once per block.  Only the rest of the tree changes, and a block's
+rests are one slice of its order's rest list for their size
+(``treegen.RestList``), which a worker extends from the blocks it
+receives.  Each listed rest carries its entry: the root's record over the
+rest's children and the rest's part of the code string.  The same rests
+recur across the blocks of an order: 2,677 rests serve the 19,320 trees
+(1,230 blocks) of order 16, 11,883 the 123,867 of order 18 and 55,879 the
+823,065 of order 20.  A tree then costs one merge per counter, of its
+rest's record with the first subtree's, and a lookup in the order's
+verdict table.  The merged result does not depend on the order children
+are merged in, so the first subtree may come last.
+
+The verdict table maps a tree's (gamma, MDS count, alpha, MIS count) to
+its three check results and its CSV fields after the code, computed once
+per key with the same calls as for a single tree: 1,666 keys serve order
+16, 5,057 order 18 and 15,173 order 20.  The one tree the table cannot
+serve is the order's subdivided star, whose recognizer verdict differs
+from every other tree's with its counts; it is found by its rest's index
+in its block's list, the only list of its rest size, and checked on its
+own.  The rest lists and verdicts of one order are kept at a time and
+dropped after the sweep.
 
 A task's partial holds its tree count, per gamma and per alpha the first
 of its trees to reach the task's best count, and its violations in order.
@@ -64,7 +77,7 @@ from .domination import MDS_LEAF, _mds_members, _mds_merge, _pick_min
 from .forest import Forest, classify_vertices, pendant_bundles
 from .independence import MIS_LEAF, SpiderShape, _mis_merge, _pick_max
 from .limits import search_max_order
-from .treegen import CanonicalCode, _first_subtree_end, _parent_names, block_starts, block_trees
+from .treegen import CanonicalCode, RestList, _first_subtree_end, _parent_names, block_starts
 
 # The sweep does not call these, but perfbench's traced run patches them by
 # name on this module (``SEARCH_SPANS``), so they stay importable from here.
@@ -281,30 +294,53 @@ def _records(sub: tuple[int, ...]) -> tuple[tuple, tuple]:
 _subtree_record = functools.cache(_records)
 
 
-# Per-process memo of one order's rests of the tree: ``levels[m:]``, m the
-# end of the root's first subtree, which the rest fixes within an order.
-# Each rest maps to the root's (MDS, MIS) records over the rest's children
-# and the rest's part of the code string.  The cache holds one order's
-# tables at a time; no entry carries over to another order.  Cleared after
-# each sweep.
+class _Order(NamedTuple):
+    """One order's per-process tables, built when a block of the order
+    arrives (``_tables``)."""
+    names: tuple[str, ...]  # each after a space
+    lists: dict[int, RestList]
+    verdicts: dict[tuple[int, int, int, int], tuple]
+    star: tuple[tuple[int, ...], tuple[int, ...]] | None  # (first subtree, rest)
+
+
+# Per-process tables of one order at a time; no entry carries over to
+# another order, and the cache is cleared after each sweep.
 @functools.lru_cache(maxsize=1)
-def _tables(n: int) -> tuple:
-    """(rests, vertex names, subdivided star) of order n, built when a block
-    of a new order arrives."""
-    # is_subdivided_star on canonical levels: at order 2k+2 the only
-    # accepted code is (0,) + (1, 2)*k + (1,).
-    star = (0,) + (1, 2) * ((n - 2) // 2) + (1,) if n % 2 == 0 else None
-    return {}, tuple(map(str, range(n))), star
+def _tables(n: int) -> _Order:
+    """Order n's vertex names, its rest lists by rest size (items are
+    ``_rest_entry``), its verdicts by (gamma, MDS count, alpha, MIS count)
+    (``_verdict``) and its subdivided star, cut at the end of its first
+    subtree."""
+    names = tuple(" " + str(i) for i in range(n))
+    star = None
+    if n % 2 == 0:
+        # is_subdivided_star on canonical levels: at order 2k+2 the only
+        # accepted code is (0,) + (1, 2)*k + (1,).
+        code = (0,) + (1, 2) * ((n - 2) // 2) + (1,)
+        m = _first_subtree_end(code)
+        star = code[:m], code[m:]
+    return _Order(names, {}, {}, star)
 
 
-def _rest_entry(rest: tuple[int, ...], names: tuple[str, ...]) -> tuple:
+def _rest_entry(rest: tuple[int, ...], shifted: tuple[str, ...]) -> tuple:
     """The root's (MDS, MIS) records over the children in ``rest``, and the
-    code string's parents of the rest, each after a space."""
+    code string's parents of the rest.  ``shifted`` names the root and then
+    the rest's positions, each after a space."""
     sub = (0, *rest)
     mds, mis = _records(sub)
-    # Position j of ``sub`` is the root for j = 0, else position m + j - 1.
-    shifted = (names[0], *names[len(names) - len(rest):])
-    return mds, mis, "".join([" " + name for name in _parent_names(sub, shifted)])
+    return mds, mis, "".join(_parent_names(sub, shifted))
+
+
+def _verdict(n: int, gamma: int, mds_count: int, alpha: int, mis_count: int, is_star: bool) -> tuple:
+    """A tree's row fields after its code, as ``TreeRow`` fields and as CSV
+    text (with the newline), and whether it fails a check; the same for
+    every tree of order n with these counts and star flag."""
+    bound = _mis_alpha_bound(alpha)
+    mds_ok = verify_mds_bound(gamma, mds_count)
+    equality = mis_count == bound
+    fields = (gamma, mds_count, alpha, mis_count, mds_ok, mis_count <= bound, equality, is_star)
+    failed = not mds_ok or mis_count > bound or equality != is_star or mis_count > mis_order_bound(n)
+    return fields, _csv_tail(*fields) + "\n", failed
 
 
 def _alone(acc, child):
@@ -345,22 +381,45 @@ def _note_violations(part: _Partial, row: TreeRow, order_bound: int) -> None:
             (row.code, f"order={row.order} count={row.mis_count} exceeds order bound {order_bound}"))
 
 
-def _fold_block(part: _Partial, start: tuple[int, ...], trees, make_row=None) -> None:
-    """Count and check ``trees``, level sequences of ``start``'s order that
-    share its first subtree, and fold them into ``part`` in the given order.
-    With ``make_row`` (``TreeRow`` or ``_csv_line``), one row per tree is
-    appended to ``part.rows``.
+def _fold_block(part: _Partial, start: tuple[int, ...], row_type=None) -> None:
+    """Count and check every tree of the block at ``start`` and fold them
+    into ``part`` in stream order, one row per tree with ``row_type``.
 
-    The first subtree's records and code prefix are read once.  Each
-    tree's rest of the tree comes from the order's memo, so a tree costs
-    one merge per counter of the rest's root record with the first
-    subtree's, the bound checks and, only for a row, a new task record or
-    a failed check, one string concatenation.
+    The block's rests are a slice of its order's rest list for their size,
+    which lists each rest once per process with its entry.
     """
     n = len(start)
-    rests, names, star = _tables(n)
+    order = _tables(n)
     m = _first_subtree_end(start)
-    prefix = " ".join(["c", str(n), *_parent_names(start[:m], names)])
+    rests = order.lists.get(n - m)
+    if rests is None:
+        # Position j of (0, *rest) is the root for j = 0, else position m + j - 1.
+        shifted = (order.names[0], *order.names[m:])
+        rests = order.lists[n - m] = RestList(functools.partial(_rest_entry, shifted=shifted))
+    lo, hi = rests.run(start, m)
+    star = None
+    if order.star is not None and start[:m] == order.star[0]:
+        star = rests.items[rests.index[order.star[1]]]
+    _fold_run(part, start, m, rests.items[lo:hi], star, row_type)
+
+
+def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run, star, row_type=None) -> None:
+    """Count and check the trees ``start[:m] + rest`` for the rests whose
+    ``_rest_entry`` items are ``run``, and fold them into ``part`` in that
+    order.  ``star`` is the item of the order's subdivided star, or None.
+    With ``row_type``, one row per tree is appended to ``part.rows``: a
+    ``TreeRow``, or with ``str`` its CSV line and newline.
+
+    The first subtree's records and code prefix are read once.  A tree
+    costs one merge per counter of its rest's root record with the first
+    subtree's, one lookup of its order's verdict for its counts and, only
+    for a row, a new task record or a failed check, one string
+    concatenation.  The star's verdict is computed on its own.
+    """
+    n = len(start)
+    order = _tables(n)
+    verdicts = order.verdicts
+    prefix = f"c {n}" + "".join(_parent_names(start[:m], order.names))
     if m > 1:
         first_mds, first_mis = _subtree_record(start[1:m])
         mds_merge, mis_merge = _mds_merge, _mis_merge
@@ -369,46 +428,46 @@ def _fold_block(part: _Partial, start: tuple[int, ...], trees, make_row=None) ->
         mds_merge = mis_merge = _alone
     order_bound = mis_order_bound(n)
     gamma_best, alpha_best = part.gamma_best, part.alpha_best
-    append = part.rows.append if make_row else None
-    count = 0
-    for levels in trees:
-        count += 1
-        rest = levels[m:]
-        entry = rests.get(rest)
-        if entry is None:
-            entry = rests[rest] = _rest_entry(rest, names)
+    append = part.rows.append if row_type else None
+    text = row_type is str
+    lead = f"{n},{prefix}"
+    for entry in run:
         rest_mds, rest_mis, suffix = entry
         z0, c0, z1, c1, _, _ = mds_merge(rest_mds, first_mds)
         gamma, mds_count = _pick_min(z0, c0, z1, c1)
         alpha, mis_count = _pick_max(*mis_merge(rest_mis, first_mis))
-        bound = _mis_alpha_bound(alpha)
-        mds_ok = verify_mds_bound(gamma, mds_count)
-        is_star = levels == star
-        if append:
-            append(make_row(n, prefix + suffix, gamma, mds_count, alpha, mis_count, mds_ok,
-                            mis_count <= bound, mis_count == bound, is_star))
+        key = (gamma, mds_count, alpha, mis_count)
+        if entry is star:
+            verdict = _verdict(n, *key, True)
+        else:
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = _verdict(n, *key, False)
+        fields, tail, failed = verdict
+        if text:
+            append(lead + suffix + tail)
+        elif append:
+            append(TreeRow(n, prefix + suffix, *fields))
         best = gamma_best.get(gamma)
         if best is None or mds_count > best[0]:
             gamma_best[gamma] = (mds_count, n, prefix + suffix)
         best = alpha_best.get(alpha)
         if best is None or mis_count > best[0]:
             alpha_best[alpha] = (mis_count, n, prefix + suffix)
-        if not mds_ok or mis_count > bound or (mis_count == bound) != is_star or mis_count > order_bound:
-            _note_violations(part, TreeRow(n, prefix + suffix, gamma, mds_count, alpha, mis_count,
-                                           mds_ok, mis_count <= bound, mis_count == bound, is_star),
-                             order_bound)
-    part.trees += count
+        if failed:
+            _note_violations(part, TreeRow(n, prefix + suffix, *fields), order_bound)
+    part.trees += len(run)
 
 
-def _sweep_task(starts, make_row=None) -> _Partial:
-    """Generate, count and check every tree of the blocks at ``starts``, in
-    stream order, into one partial.  With ``make_row=_csv_line`` the rows
-    come back as one CSV text."""
-    part = _Partial(rows=[] if make_row else None)
+def _sweep_task(starts, row_type=None) -> _Partial:
+    """Count and check every tree of the blocks at ``starts``, in stream
+    order, into one partial.  With ``row_type=str`` the rows come
+    back as one CSV text."""
+    part = _Partial(rows=[] if row_type else None)
     for start in starts:
-        _fold_block(part, start, block_trees(start), make_row)
-    if make_row is _csv_line:
-        part.rows = "".join([line + "\n" for line in part.rows])
+        _fold_block(part, start, row_type)
+    if row_type is str:
+        part.rows = "".join(part.rows)
     return part
 
 
@@ -452,7 +511,7 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
     rows: list[TreeRow] | None = [] if emit_rows else None
     if write is not None:
         write(CSV_HEADER + "\n")
-    task = functools.partial(_sweep_task, make_row=_csv_line if write else TreeRow if emit_rows else None)
+    task = functools.partial(_sweep_task, row_type=str if write else TreeRow if emit_rows else None)
     starts = (start for n in range(min_order, max_order + 1) for start in block_starts(n))
     tasks = iter(lambda: list(itertools.islice(starts, _BLOCKS_PER_TASK)), [])
     try:
@@ -501,14 +560,14 @@ CSV_HEADER = ("order,code,gamma,mds_count,alpha,mis_count,"
 _BOOLS = ("false", "true")
 
 
-def _csv_line(order, code, gamma, mds_count, alpha, mis_count, mds_ok, mis_ok, equality, is_star) -> str:
-    """One ``TreeRow``'s fields as a CSV line, without its newline."""
-    return (f"{order},{code},{gamma},{mds_count},{alpha},{mis_count},{_BOOLS[mds_ok]},"
+def _csv_tail(gamma, mds_count, alpha, mis_count, mds_ok, mis_ok, equality, is_star) -> str:
+    """The CSV fields of a row after its code, each after a comma."""
+    return (f",{gamma},{mds_count},{alpha},{mis_count},{_BOOLS[mds_ok]},"
             f"{_BOOLS[mis_ok]},{_BOOLS[equality]},{_BOOLS[is_star]}")
 
 
 def report_csv_lines(report: SearchReport) -> list[str]:
-    return [CSV_HEADER, *(_csv_line(*row) for row in report.rows or ())]
+    return [CSV_HEADER, *(f"{row.order},{row.code}" + _csv_tail(*row[2:]) for row in report.rows or ())]
 
 
 def report_text(report: SearchReport) -> str:

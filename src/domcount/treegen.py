@@ -22,8 +22,8 @@ to the floor.
 ``generate_trees`` runs two steps.  ``block_starts`` visits each block
 once: it yields the block's first sequence and jumps to its last, where
 the rest is all leaves under the root; the successor moves on from
-there.  ``block_trees`` steps from a start while the rest stays at least
-the floor and the first subtree is kept.  The exhaustive sweep runs the
+there.  A ``RestList`` per rest size then gives each block's rests as one
+slice of a list (see "Rest lists" below).  The exhaustive sweep runs the
 first step in its parent process and the second in its workers.
 
 A first subtree can be too big for its tree.  Let d be its depth (its
@@ -64,8 +64,48 @@ That one jump is the whole walk; it needs no other rule or test:
   at most n - d'.  So the rest has n - 1 - s >= d vertices and reaches
   depth d: it is at least ``[1, ..., d]``, hence at least S's floor.
 
+Rest lists.  The rooted successor with ``low = m`` reads and writes only
+positions from m on: the last position p from m on deeper than 1, and its
+parent q, which lies between m and p because ``levels[m]`` is 1.  So it
+steps the rest alone: it is the successor of ``(0,) + rest`` as a rooted
+sequence of its own, which has no position below 1 to change, and
+``RestList`` runs it on the rest alone.  The rests
+of size r a successor chain visits are thus a run of one list, the
+canonical rooted sequences of r + 1 vertices in decreasing order, each
+without its root.  Two facts make every block one slice of that list:
+
+- A block's trees are one contiguous run of the list.  A rest's first
+  child subtree runs from its first entry to its second 1.  If rest B is
+  below rest A, B's first child is at most A's: they agree up to the
+  first entry where B is smaller.  If that entry lies past A's first
+  child, the two share it; if inside, B there either ends its first child
+  (a 1) or goes on smaller.  So the rests whose first child is at most
+  the block's first subtree S, the rests that keep the sequence a
+  canonical rooted one, are a suffix of the list, and it starts at the
+  block's first rest, S repeated and cut to length (see the walk above).  The rests at
+  least the block's floor are a prefix of the list.  The block is the
+  overlap, from S repeated down to the last rest at least the floor, and
+  the successor steps through it one rest at a time.
+- A lazily extended list has no gap inside any block's run.  Blocks of
+  one order and rest size come in stream order, so their first rests do
+  not increase.  ``RestList.run`` keeps the index from which the list is
+  one successor chain: the last first rest that it had to append.  A
+  block's first rest is either in that chain, and the chain goes on down
+  to the list's end; or below the end, and it is appended and starts a new
+  chain (the rests between the old end and it may be missing, but they
+  lie above every later block's first rest).  Either way the block's run
+  starts inside the chain, and successor steps extend the chain down to
+  its floor, so nothing is missing from the run.  A block out of stream
+  order, whose first rest lies above the chain, starts the list over.
+
+So each block costs one dictionary lookup of its first rest (lo), a
+successor walk only for rests not listed yet, and a bisection of its
+floor (hi): the list's cost grows with rests and blocks, not trees.
+
 Correctness is not taken on faith: the tests check the stream and the
-block slices against the generator without any skip, the block starts
+block slices against a generator without any skip and against the plain
+successor stream of each block, every block's rests against one run of
+the sorted list of all its order's rests of that size, the block starts
 against the walk without the size jump, the floor against an independent
 center test, and the stream against a labeled-tree oracle, OEIS A000055
 and an automorphism-weighted count identity.
@@ -77,9 +117,10 @@ star-like (flat) ones.
 
 from __future__ import annotations
 
+import bisect
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterator
 
 from .forest import Forest, RootedTree, root_at
 
@@ -245,20 +286,6 @@ def block_starts(n: int) -> Iterator[tuple[int, ...]]:
             return
 
 
-def block_trees(start: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The free trees of the block that ``block_starts`` gave as ``start``.
-
-    Steps from the start while the successor changes no position of the
-    first subtree and the rest stays at least the block's floor.
-    """
-    levels = list(start)
-    m = _first_subtree_end(levels)
-    floor = _rest_floor(levels, m)
-    yield start
-    while _rooted_successor(levels, len(levels) - 1, m) and levels[m:] >= floor:
-        yield tuple(levels)
-
-
 def _rooted_successor(levels: list[int], p: int, low: int) -> bool:
     """Step ``levels`` to its rooted successor, in place, if that changes no
     position below ``low``; say whether it did.
@@ -278,14 +305,69 @@ def _rooted_successor(levels: list[int], p: int, low: int) -> bool:
     return True
 
 
+class RestList:
+    """One order's rests of the tree of one size, in decreasing order, as
+    far as the blocks that asked for them need (see "Rest lists" in the
+    module docstring).
+
+    ``run`` gives a block start's (lo, hi): ``rests[lo:hi]`` are the rests
+    of the block's trees in stream order.  ``index`` maps each listed rest
+    to its place.  With ``item``, ``items[i]`` is ``item(rests[i])``, built
+    once per rest.
+    """
+
+    def __init__(self, item: Callable[[tuple[int, ...]], object] | None = None):
+        self.rests: list[tuple[int, ...]] = []
+        self.items: list = []
+        self._item = item
+        self.index: dict[tuple[int, ...], int] = {}
+        self._chain = 0  # from here on, each rest is its predecessor's successor
+
+    def _append(self, rest: tuple[int, ...]) -> None:
+        self.index[rest] = len(self.rests)
+        self.rests.append(rest)
+        if self._item is not None:
+            self.items.append(self._item(rest))
+
+    def run(self, start: tuple[int, ...], m: int) -> tuple[int, int]:
+        """The slice of ``rests`` that holds the block at ``start``, m the
+        end of its first subtree."""
+        rests = self.rests
+        top = start[m:]
+        lo = self.index.get(top, -1)
+        if lo < self._chain:
+            if rests and top > rests[-1]:
+                # Out of stream order: the list may have a gap below top.
+                rests.clear()
+                self.items.clear()
+                self.index.clear()
+            self._chain = lo = len(rests)
+            self._append(top)
+        floor = tuple(_rest_floor(start, m))
+        if rests[-1] >= floor:
+            levels = list(rests[-1])
+            while _rooted_successor(levels, len(levels) - 1, 0):
+                rest = tuple(levels)
+                if rest < floor:
+                    break
+                self._append(rest)
+        # The rests at least the floor are a prefix of the decreasing list.
+        return lo, bisect.bisect_left(rests, True, lo, key=floor.__gt__)
+
+
 def generate_trees(n: int) -> Iterator[CanonicalCode]:
     """Yield one CanonicalCode per isomorphism class of free trees of order n.
 
     The stream is deterministic and strictly increasing in code order.
     """
+    lists: dict[int, RestList] = {}
     for start in block_starts(n):
-        for levels in block_trees(start):
-            yield CanonicalCode(levels)
+        m = _first_subtree_end(start)
+        rests = lists.setdefault(n - m, RestList())
+        lo, hi = rests.run(start, m)
+        head = start[:m]
+        for rest in rests.rests[lo:hi]:
+            yield CanonicalCode(head + rest)
 
 
 def _tree_centers(adj: list[list[int]], vertices: list[int]) -> list[int]:

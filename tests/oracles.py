@@ -43,7 +43,7 @@ from domcount.forest import root_at
 from domcount.family import LocalPartition, TableRow, closed_form_count
 from domcount.independence import count_max_independent_sets, is_subdivided_star, mis_table
 from domcount.search import TreeRow, verify_mds_bound, verify_mis_bound
-from domcount.treegen import CanonicalCode, _first_subtree_end, _rooted_successor
+from domcount.treegen import CanonicalCode, _first_subtree_end, _rest_floor, _rooted_successor
 
 
 def labeled_parent_trees(n):
@@ -254,6 +254,20 @@ def stepwise_block_starts(n):
         levels[m:] = [1] * (n - m)
         if not _rooted_successor(levels, m - 1, 0):
             return
+
+
+def block_trees(start):
+    """The free trees of the block that ``treegen.block_starts`` gave as
+    ``start``, by the plain successor: the reference stream for
+    ``treegen.RestList``.  Steps from the start while the successor changes
+    no position of the first subtree and the rest stays at least the
+    block's floor."""
+    levels = list(start)
+    m = _first_subtree_end(levels)
+    floor = _rest_floor(levels, m)
+    yield start
+    while _rooted_successor(levels, len(levels) - 1, m) and levels[m:] >= floor:
+        yield tuple(levels)
 
 
 def stack_parents(levels):

@@ -7,7 +7,9 @@ became one recursion over level slices; the text ``--emit-all`` and the
 row-less CSV search digests from the build before ``search`` wrote its
 rows through one path; the forest command digests from the build before
 every fold combined its components through one driver; the 1..16 search
-digests from the build before each worker folded its own tasks.  Any
+digests from the build before each worker folded its own tasks; the
+order-17 digests from the build before blocks became slices of rest
+lists.  Any
 change to counts, record witnesses, tie-breaks, CSV rows, report text,
 stderr or exit codes shows up here as a digest mismatch.
 """
@@ -36,6 +38,11 @@ SEARCH_GOLDEN = {
     ("--min-order", "1", "--max-order", "16", "--emit-all", "--format", "csv"): (
         "2826afc1f1714068195f969af740aebfa0a5e69b102114131450c036301663de",
         "054e3c8ffa6a80733435f3b89ecee8da2f7d43dbf2f28ca85a3f722ac440ca78", 0),
+    # Order 17 alone: 48,629 trees over 5,597 rests of the tree, the most
+    # repeated rests in tier-1.
+    ("--min-order", "17", "--max-order", "17", "--emit-all", "--format", "csv"): (
+        "c64d5d5825b94e6d474cccdb2e7b40c73413950ee049d59eadaedf8c1a7d34cb",
+        "b9b602aaeb620fe70de0aff282d0592b2bf1a95681de355df9d78a78356981d4", 0),
     # The text report writes nothing to stderr: that digest is of "".
     ("--max-order", "12"): (
         "ef6f34cc291141014da6493f93092e65212a336a64a91acde7c6778e113d863b",

@@ -1,4 +1,7 @@
+import gc
+import multiprocessing
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,9 +20,10 @@ from domcount.search import (
     DiagnosticsReport,
     HubConfiguration,
     TreeRow,
-    _fold_block,
+    _fold_run,
     _Partial,
     _records,
+    _rest_entry,
     _subtree_record,
     _sweep_task,
     _tables,
@@ -263,13 +267,13 @@ def test_merge_is_independent_of_task_size(monkeypatch):
 
 
 def cached_rests(n):
-    # The rests memo of order n, which must be the one entry the tables
-    # cache holds: reading it hits the cache and evicts nothing.
+    # The rests listed for order n, whose tables must be the one entry the
+    # tables cache holds: reading them hits the cache and evicts nothing.
     info = _tables.cache_info()
     assert info.currsize == 1
-    rests = _tables(n)[0]
+    lists = _tables(n).lists
     assert _tables.cache_info().misses == info.misses, n
-    return rests
+    return [rest for rests in lists.values() for rest in rests.rests]
 
 
 def test_kernel_rows_match_forest_oracle():
@@ -297,7 +301,7 @@ def test_rest_memo_holds_one_order():
         for n in (7, 8, 7, 12):
             _sweep_task(block_starts(n))
             levels = [code.levels for code in generate_trees(n)]
-            assert set(cached_rests(n)) == {seq[_first_subtree_end(seq):] for seq in levels}
+            assert sorted(cached_rests(n)) == sorted({seq[_first_subtree_end(seq):] for seq in levels})
     finally:
         _subtree_record.cache_clear()
         _tables.cache_clear()
@@ -320,38 +324,55 @@ def test_records_match_tables_on_every_subtree():
 
 
 def test_sweep_releases_the_subtree_memo(monkeypatch):
+    # The subtree memo, the rest lists and the verdict tables are filled
+    # while a sweep runs and released after it, also when a check raises.
     search_extremal(1, 10)
     assert _subtree_record.cache_info().currsize == 0
     assert _tables.cache_info().currsize == 0
     rest_entries = [0]
     rest_entry = search._rest_entry
 
-    def counting_rest_entry(*args):
+    def counting_rest_entry(*args, **kwargs):
         rest_entries[0] += 1
-        return rest_entry(*args)
+        return rest_entry(*args, **kwargs)
 
-    filled = []
+    orders = []
+    order_tables = search._Order
+
+    def kept_order(*args):
+        orders.append(order_tables(*args))
+        return orders[-1]
+
+    filled, lists = [], []
 
     def failing_check(gamma, count):
         if gamma == 4:
-            filled.append((_subtree_record.cache_info().currsize,
-                           _tables.cache_info().currsize, rest_entries[0]))
+            order = orders.pop()
+            lists.extend(weakref.ref(rests) for rests in order.lists.values())
+            filled.append((_subtree_record.cache_info().currsize, _tables.cache_info().currsize,
+                           rest_entries[0], sum(len(rests().items) for rests in lists),
+                           len(order.verdicts)))
             raise RuntimeError("check failed")
         return verify_mds_bound(gamma, count)
 
     monkeypatch.setattr(search, "_rest_entry", counting_rest_entry)
+    monkeypatch.setattr(search, "_Order", kept_order)
     monkeypatch.setattr(search, "verify_mds_bound", failing_check)
     with pytest.raises(RuntimeError, match="check failed"):
         search_extremal(1, 10)
-    assert filled[0][0] > 0 and filled[0][1] == 1 and filled[0][2] > 0
+    subtrees, tables, entries, listed, verdicts = filled[0]
+    assert subtrees > 0 and tables == 1 and entries > 0 and listed > 0 and verdicts > 0
     assert _subtree_record.cache_info().currsize == 0
     assert _tables.cache_info().currsize == 0
+    gc.collect()
+    assert lists and all(rests() is None for rests in lists)
 
 
 def test_kernel_matches_counters_on_random_trees():
-    # The kernel's per-tree path (rest memo, one merge per counter with the
-    # first subtree, code prefix and suffix, star check) on one tree at a
-    # time, against the public counters and recognizer on the labelled tree.
+    # The kernel's per-tree path (rest entry, one merge per counter with
+    # the first subtree, verdict table, code prefix and suffix, the order's
+    # star) on one tree at a time, against the public counters and
+    # recognizer on the labelled tree.
     rng = random.Random(20180)
     stars = 0
     try:
@@ -360,8 +381,12 @@ def test_kernel_matches_counters_on_random_trees():
             levels = canonical_code(forest).levels
             dom = count_min_dominating_sets(forest)
             ind = count_max_independent_sets(forest)
+            order = _tables(len(levels))
+            m = _first_subtree_end(levels)
+            entry = _rest_entry(levels[m:], (order.names[0], *order.names[m:]))
+            star = entry if order.star and levels == order.star[0] + order.star[1] else None
             part = _Partial(rows=[])
-            _fold_block(part, levels, [levels], TreeRow)
+            _fold_run(part, levels, m, [entry], star, TreeRow)
             (row,) = part.rows
             assert row == forest_tree_rows([levels])[0]
             assert row[2:6] == (dom.gamma, dom.mds_count, ind.alpha, ind.mis_count)
@@ -372,6 +397,33 @@ def test_kernel_matches_counters_on_random_trees():
         _subtree_record.cache_clear()
         _tables.cache_clear()
     assert stars >= 50
+
+
+@pytest.mark.parametrize("jobs", [
+    1,
+    pytest.param(2, marks=pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                             reason="workers see the patched check only when forked")),
+])
+def test_every_failing_tree_is_reported(monkeypatch, jobs):
+    # Trees share verdicts by their counts; a check that fails every tree
+    # still reports every tree, once, in stream order.
+    monkeypatch.setattr(search, "verify_mds_bound", lambda gamma, count: False)
+    report = search_extremal(1, 10, jobs=jobs)
+    codes = [code.to_string() for n in range(1, 11) for code in generate_trees(n)]
+    assert report.trees_processed == len(codes) == 201
+    assert [code for code, _ in report.mds_bound_violations] == codes
+    assert not report.mis_bound_violations and not report.order_bound_violations
+
+
+def test_each_even_order_has_one_subdivided_star_row():
+    chunks = []
+    search_extremal(1, 16, write=chunks.append)
+    stars = [line.split(",")[:2] for line in "".join(chunks).splitlines()[1:] if line.endswith(",true")]
+    expected = []
+    for n in range(4, 17, 2):
+        code = CanonicalCode((0,) + (1, 2) * ((n - 2) // 2) + (1,))
+        expected.append([str(n), code.to_string()])
+    assert stars[1:] == expected  # after the path on 2 vertices
 
 
 def test_search_parameter_validation():

@@ -10,6 +10,7 @@ import domcount.treegen as treegen_module
 from oracles import (
     _is_center_rooted,
     automorphism_count,
+    block_trees,
     brute_force_isomorphic,
     filtered_free_levels,
     free_key,
@@ -24,13 +25,13 @@ from strategies import labeled_trees, random_tree, relabeled
 from domcount.forest import build_forest, disjoint_union, path, root_at, spider, star
 from domcount.treegen import (
     CanonicalCode,
+    RestList,
     _first_subtree_end,
     _rest_floor,
     _rooted_levels,
     _rooted_successor,
     _tree_centers,
     block_starts,
-    block_trees,
     canonical_code,
     generate_trees,
 )
@@ -89,6 +90,50 @@ def test_block_slices_concatenate_to_stream():
         assert len(set(heads)) == len(heads)
         for head, block in zip(heads, blocks):
             assert {first_subtree(levels) for levels in block} == {head}
+
+
+def test_every_block_is_one_run_of_its_rest_list():
+    # Every block of orders 1..18: its slice of the rest list for its size
+    # equals the plain successor stream of the block, and its rests are one
+    # contiguous run of all the order's rests of that size, sorted
+    # decreasing.
+    for n in range(1, 19):
+        lists, blocks = {}, []
+        for start in block_starts(n):
+            m = _first_subtree_end(start)
+            rests = lists.setdefault(n - m, RestList())
+            lo, hi = rests.run(start, m)
+            block = [levels[m:] for levels in block_trees(start)]
+            assert rests.rests[lo:hi] == block, start
+            blocks.append((n - m, block))
+        every = {}
+        for size, block in blocks:
+            every.setdefault(size, set()).update(block)
+        place = {size: {rest: i for i, rest in enumerate(sorted(rests, reverse=True))}
+                 for size, rests in every.items()}
+        for size, block in blocks:
+            first = place[size][block[0]]
+            assert [place[size][rest] for rest in block] == list(range(first, first + len(block)))
+
+
+def test_rest_lists_serve_any_share_of_the_blocks():
+    # A worker's lists see only its tasks' blocks: any share of them in
+    # stream order gives each block its slice, building each rest's item
+    # once, and so do blocks that come in reverse (each starts over).
+    rng = random.Random(19)
+    for n in range(8, 16):
+        starts = list(block_starts(n))
+        picked = sorted(rng.sample(range(len(starts)), len(starts) // 3))
+        for share, in_order in (([starts[i] for i in picked], True), (starts[::-1], False)):
+            made, lists = [], {}
+            for start in share:
+                m = _first_subtree_end(start)
+                rests = lists.setdefault(n - m, RestList(lambda rest: made.append(rest) or rest))
+                lo, hi = rests.run(start, m)
+                assert rests.rests[lo:hi] == [levels[m:] for levels in block_trees(start)], start
+                assert rests.items == rests.rests
+            if in_order:
+                assert len(made) == len(set(made))
 
 
 def test_block_starts_match_stepwise_walk():
