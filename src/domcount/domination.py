@@ -119,12 +119,6 @@ def _fold(parent: list[int], records: list, merge) -> list:
     return records
 
 
-def mds_table(parent: list[int]) -> list[tuple]:
-    """The (z0, c0, z1, c1, z2, c2) record of every position of a rooted
-    tree; ``parent`` is ``RootedTree.parent``."""
-    return _fold(parent, [MDS_LEAF] * len(parent), _mds_merge)
-
-
 @dataclass(frozen=True)
 class DomResult:
     gamma: int

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .domination import EMPTY_SET, _enumerate_sets, _fold, _fold_forest
+from .domination import EMPTY_SET, _enumerate_sets, _fold_forest
 from .forest import Forest
 # The counters here fold through ``domination``, but perfbench's traced runs
 # patch ``root_at`` by name on this module too, so it stays importable here.
@@ -49,12 +49,6 @@ def _mis_merge(acc, child):
     if b > a:
         return z_in + b, c_in * n_b, z_out + b, c_out * n_b
     return z_in + b, c_in * n_b, z_out + a, c_out * (n_a + n_b)
-
-
-def mis_table(parent: list[int]) -> list[tuple]:
-    """The (z_in, c_in, z_out, c_out) record of every position of a rooted
-    tree; ``parent`` is ``RootedTree.parent``."""
-    return _fold(parent, [MIS_LEAF] * len(parent), _mis_merge)
 
 
 @dataclass(frozen=True)

@@ -40,13 +40,13 @@ verdict table.  The merged result does not depend on the order children
 are merged in, so the first subtree may come last.
 
 The verdict table maps a tree's (gamma, MDS count, alpha, MIS count) to
-its three check results and its CSV fields after the code, computed once
-per key with the same calls as for a single tree: 1,666 keys serve order
-16, 5,057 order 18 and 15,173 order 20.  The one tree the table cannot
-serve is the order's subdivided star, whose recognizer verdict differs
-from every other tree's with its counts; it is found by its rest's index
-in its block's list, the only list of its rest size, and checked on its
-own.  The rest lists and verdicts of one order are kept at a time and
+its CSV fields after the code and the texts of the checks it fails,
+computed once per key with the same calls as for a single tree: 1,666
+keys serve order 16, 5,057 order 18 and 15,173 order 20.  The one tree
+the table cannot serve is the order's subdivided star, whose recognizer
+verdict differs from every other tree's with its counts; it is found by
+its rest's index in its block's list, the only list of its rest size,
+and checked on its own.  The rest lists and verdicts of one order are kept at a time and
 dropped after the sweep.
 
 A task's partial holds its tree count, per gamma and per alpha the first
@@ -58,8 +58,9 @@ and codes strictly increase within an order.  It replaces a record only
 on a strictly larger count, so the first tree to reach a record count is
 the tie-break winner whatever the worker count and task size, and the
 report is identical for every ``jobs`` value.  Rows, when wanted, come
-back with their task: as ``TreeRow`` tuples, or as one CSV text that the
-caller writes as it arrives, so the parent never holds every row.
+back with their task as one CSV text, which the caller writes as it
+arrives, so the parent never holds every row; ``TreeRow`` tuples are read
+back from that text in the parent, never built by a worker.
 """
 
 from __future__ import annotations
@@ -332,15 +333,23 @@ def _rest_entry(rest: tuple[int, ...], shifted: tuple[str, ...]) -> tuple:
 
 
 def _verdict(n: int, gamma: int, mds_count: int, alpha: int, mis_count: int, is_star: bool) -> tuple:
-    """A tree's row fields after its code, as ``TreeRow`` fields and as CSV
-    text (with the newline), and whether it fails a check; the same for
-    every tree of order n with these counts and star flag."""
+    """A tree's CSV fields after its code (with the newline), and the checks
+    it fails as (kind, detail), kind indexing ``_Partial.violations``; the
+    same for every tree of order n with these counts and star flag."""
     bound = _mis_alpha_bound(alpha)
     mds_ok = verify_mds_bound(gamma, mds_count)
     equality = mis_count == bound
-    fields = (gamma, mds_count, alpha, mis_count, mds_ok, mis_count <= bound, equality, is_star)
-    failed = not mds_ok or mis_count > bound or equality != is_star or mis_count > mis_order_bound(n)
-    return fields, _csv_tail(*fields) + "\n", failed
+    failures = []
+    if not mds_ok:
+        failures.append((0, f"gamma={gamma} count={mds_count} exceeds 2.4606^gamma"))
+    if mis_count > bound:
+        failures.append((1, f"alpha={alpha} count={mis_count} exceeds 2^(alpha-1)+1"))
+    elif equality != is_star:
+        failures.append((1, f"alpha={alpha} count={mis_count} equality={equality} recognizer={is_star}"))
+    if mis_count > (order_bound := mis_order_bound(n)):
+        failures.append((2, f"order={n} count={mis_count} exceeds order bound {order_bound}"))
+    tail = _csv_tail(gamma, mds_count, alpha, mis_count, mds_ok, mis_count <= bound, equality, is_star)
+    return tail + "\n", tuple(failures)
 
 
 def _alone(acc, child):
@@ -351,39 +360,20 @@ def _alone(acc, child):
 @dataclass
 class _Partial:
     """One task's share of a sweep.  Per gamma and per alpha a record is
-    (count, order, code) of the first tree to reach the task's best count;
-    violations are (code, detail) in stream order.  ``rows`` is a list of
-    ``TreeRow``, the rows' CSV text, or None when no rows are wanted."""
+    (count, order, code) of the first tree to reach the task's best count.
+    ``violations`` lists the MDS, MIS and order-bound violations, each as
+    (code, detail) in stream order.  ``rows`` is the rows' CSV lines, then
+    their text once the task ends, or None when no rows are wanted."""
     trees: int = 0
     gamma_best: dict[int, tuple[int, int, str]] = field(default_factory=dict)
     alpha_best: dict[int, tuple[int, int, str]] = field(default_factory=dict)
-    mds_violations: list[tuple[str, str]] = field(default_factory=list)
-    mis_violations: list[tuple[str, str]] = field(default_factory=list)
-    order_violations: list[tuple[str, str]] = field(default_factory=list)
-    rows: list | str | None = None
+    violations: tuple[list[tuple[str, str]], ...] = field(default_factory=lambda: ([], [], []))
+    rows: list[str] | str | None = None
 
 
-def _note_violations(part: _Partial, row: TreeRow, order_bound: int) -> None:
-    """Append the checks ``row`` fails to ``part``'s violation lists."""
-    if not row.mds_bound_ok:
-        part.mds_violations.append(
-            (row.code, f"gamma={row.gamma} count={row.mds_count} exceeds 2.4606^gamma"))
-    if not row.mis_bound_ok:
-        part.mis_violations.append(
-            (row.code, f"alpha={row.alpha} count={row.mis_count} exceeds 2^(alpha-1)+1"))
-    elif row.mis_equality != row.is_subdivided_star:
-        part.mis_violations.append(
-            (row.code,
-             f"alpha={row.alpha} count={row.mis_count} equality={row.mis_equality} "
-             f"recognizer={row.is_subdivided_star}"))
-    if row.mis_count > order_bound:
-        part.order_violations.append(
-            (row.code, f"order={row.order} count={row.mis_count} exceeds order bound {order_bound}"))
-
-
-def _fold_block(part: _Partial, start: tuple[int, ...], row_type=None) -> None:
+def _fold_block(part: _Partial, start: tuple[int, ...]) -> None:
     """Count and check every tree of the block at ``start`` and fold them
-    into ``part`` in stream order, one row per tree with ``row_type``.
+    into ``part`` in stream order.
 
     The block's rests are a slice of its order's rest list for their size,
     which lists each rest once per process with its entry.
@@ -400,21 +390,22 @@ def _fold_block(part: _Partial, start: tuple[int, ...], row_type=None) -> None:
     star = None
     if order.star is not None and start[:m] == order.star[0]:
         star = rests.items[rests.index[order.star[1]]]
-    _fold_run(part, start, m, rests.items[lo:hi], star, row_type)
+    _fold_run(part, start, m, rests.items[lo:hi], star)
 
 
-def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run, star, row_type=None) -> None:
+def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run, star) -> None:
     """Count and check the trees ``start[:m] + rest`` for the rests whose
     ``_rest_entry`` items are ``run``, and fold them into ``part`` in that
     order.  ``star`` is the item of the order's subdivided star, or None.
-    With ``row_type``, one row per tree is appended to ``part.rows``: a
-    ``TreeRow``, or with ``str`` its CSV line and newline.
+    When ``part.rows`` is a list, each tree's CSV line and newline is
+    appended to it.
 
     The first subtree's records and code prefix are read once.  A tree
     costs one merge per counter of its rest's root record with the first
     subtree's, one lookup of its order's verdict for its counts and, only
     for a row, a new task record or a failed check, one string
-    concatenation.  The star's verdict is computed on its own.
+    concatenation; the verdict holds the failed checks' texts.  The star's
+    verdict is computed on its own.
     """
     n = len(start)
     order = _tables(n)
@@ -426,10 +417,8 @@ def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run, star, row_typ
     else:
         first_mds = first_mis = None
         mds_merge = mis_merge = _alone
-    order_bound = mis_order_bound(n)
-    gamma_best, alpha_best = part.gamma_best, part.alpha_best
-    append = part.rows.append if row_type else None
-    text = row_type is str
+    gamma_best, alpha_best, violations = part.gamma_best, part.alpha_best, part.violations
+    append = part.rows.append if part.rows is not None else None
     lead = f"{n},{prefix}"
     for entry in run:
         rest_mds, rest_mis, suffix = entry
@@ -443,32 +432,41 @@ def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run, star, row_typ
             verdict = verdicts.get(key)
             if verdict is None:
                 verdict = verdicts[key] = _verdict(n, *key, False)
-        fields, tail, failed = verdict
-        if text:
+        tail, failures = verdict
+        if append:
             append(lead + suffix + tail)
-        elif append:
-            append(TreeRow(n, prefix + suffix, *fields))
         best = gamma_best.get(gamma)
         if best is None or mds_count > best[0]:
             gamma_best[gamma] = (mds_count, n, prefix + suffix)
         best = alpha_best.get(alpha)
         if best is None or mis_count > best[0]:
             alpha_best[alpha] = (mis_count, n, prefix + suffix)
-        if failed:
-            _note_violations(part, TreeRow(n, prefix + suffix, *fields), order_bound)
+        for kind, detail in failures:
+            violations[kind].append((prefix + suffix, detail))
     part.trees += len(run)
 
 
-def _sweep_task(starts, row_type=None) -> _Partial:
+def _sweep_task(starts, rows: bool = False) -> _Partial:
     """Count and check every tree of the blocks at ``starts``, in stream
-    order, into one partial.  With ``row_type=str`` the rows come
-    back as one CSV text."""
-    part = _Partial(rows=[] if row_type else None)
+    order, into one partial, with its rows as one CSV text if ``rows``."""
+    part = _Partial(rows=[] if rows else None)
     for start in starts:
-        _fold_block(part, start, row_type)
-    if row_type is str:
+        _fold_block(part, start)
+    if rows:
         part.rows = "".join(part.rows)
     return part
+
+
+def _read_rows(text: str, tails: dict[str, tuple]) -> list[TreeRow]:
+    """Each CSV line of ``text`` as a ``TreeRow``; ``tails`` keeps the fields
+    of each tail after a code read so far, which trees share by verdict."""
+    rows = []
+    for order, code, tail in (line.split(",", 2) for line in text.splitlines()):
+        if tail not in tails:
+            values = tail.split(",")
+            tails[tail] = (*map(int, values[:4]), *(value == "true" for value in values[4:]))
+        rows.append(TreeRow(int(order), code, *tails[tail]))
+    return rows
 
 
 def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bool = False,
@@ -487,10 +485,12 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
     smaller code.  The report is byte-for-byte identical for every ``jobs``
     value and every task size.
 
-    With ``emit_rows``, ``report.rows`` lists every tree's ``TreeRow``.
-    With ``write``, the CSV header and then each task's rows, as CSV text,
-    are passed to ``write`` in stream order once the arguments are checked,
-    and no row is kept.
+    Workers are forked where the platform can fork, else spawned.  A task
+    returns its rows, when wanted, as CSV text.  With ``emit_rows``,
+    ``report.rows`` lists every tree's ``TreeRow``, read back from that
+    text.  With ``write``, the CSV header and then each task's text are
+    passed to ``write`` in stream order once the arguments are checked, and
+    no row is kept.
     """
     ceiling = search_max_order()
     if not 1 <= min_order <= max_order:
@@ -505,30 +505,29 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
     trees = 0
     gamma_best: dict[int, tuple[int, int, str]] = {}
     alpha_best: dict[int, tuple[int, int, str]] = {}
-    mds_violations: list[tuple[str, str]] = []
-    mis_violations: list[tuple[str, str]] = []
-    order_violations: list[tuple[str, str]] = []
+    mds_violations, mis_violations, order_violations = violations = ([], [], [])
     rows: list[TreeRow] | None = [] if emit_rows else None
+    tails: dict[str, tuple] = {}
     if write is not None:
         write(CSV_HEADER + "\n")
-    task = functools.partial(_sweep_task, row_type=str if write else TreeRow if emit_rows else None)
+    task = functools.partial(_sweep_task, rows=emit_rows or write is not None)
     starts = (start for n in range(min_order, max_order + 1) for start in block_starts(n))
     tasks = iter(lambda: list(itertools.islice(starts, _BLOCKS_PER_TASK)), [])
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     try:
-        with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        with multiprocessing.get_context(method).Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
             for part in pool.imap(task, tasks) if pool else map(task, tasks):
                 trees += part.trees
                 for best, records in ((gamma_best, part.gamma_best), (alpha_best, part.alpha_best)):
                     for key, record in records.items():
                         if key not in best or record[0] > best[key][0]:
                             best[key] = record
-                mds_violations += part.mds_violations
-                mis_violations += part.mis_violations
-                order_violations += part.order_violations
+                for merged, found in zip(violations, part.violations):
+                    merged += found
                 if write is not None:
                     write(part.rows)
                 elif emit_rows:
-                    rows += part.rows
+                    rows += _read_rows(part.rows, tails)
     finally:
         # Records are cheap to rebuild; do not keep them past the sweep.
         _subtree_record.cache_clear()

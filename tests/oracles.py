@@ -15,10 +15,13 @@ the block walk without its jump past oversized first subtrees, and
 ``stack_parents`` reads parents off a level sequence with a stack.
 ``bfs_rooting`` is the breadth-first rooting the counters used before
 every forest kept its own.
+``mds_table`` and ``mis_table`` give every position's record of a rooted
+tree, folded with the counters' own merges; the counters keep only the
+root's.
 ``recursive_min_dominating_sets`` and ``recursive_max_independent_sets``
 are the enumerators as they were before they folded set families through
-the counters' merges: a memoised top-down recursion over the package's
-``mds_table`` and ``mis_table``.  ``scanned_min_dominating_sets`` and
+the counters' merges: a memoised top-down recursion over those two
+tables.  ``scanned_min_dominating_sets`` and
 ``scanned_max_independent_sets`` share nothing with the package: they
 scan vertex subsets.  ``enumerated_local_partition`` is
 ``local_mds_partition`` as it was before it counted with forced folds:
@@ -38,10 +41,16 @@ from itertools import combinations, permutations, product
 from math import factorial
 from operator import or_
 
-from domcount.domination import count_min_dominating_sets, enumerate_min_dominating_sets, mds_table
+from domcount.domination import (
+    MDS_LEAF,
+    _fold,
+    _mds_merge,
+    count_min_dominating_sets,
+    enumerate_min_dominating_sets,
+)
 from domcount.forest import root_at
 from domcount.family import LocalPartition, TableRow, closed_form_count
-from domcount.independence import count_max_independent_sets, is_subdivided_star, mis_table
+from domcount.independence import MIS_LEAF, _mis_merge, count_max_independent_sets, is_subdivided_star
 from domcount.search import TreeRow, verify_mds_bound, verify_mis_bound
 from domcount.treegen import CanonicalCode, _first_subtree_end, _rest_floor, _rooted_successor
 
@@ -306,6 +315,18 @@ def bfs_rooting(forest, root):
                 order.append(w)
                 parent.append(i)
     return order, parent
+
+
+def mds_table(parent):
+    """The (z0, c0, z1, c1, z2, c2) record of every position of a rooted
+    tree; ``parent`` is ``RootedTree.parent``."""
+    return _fold(parent, [MDS_LEAF] * len(parent), _mds_merge)
+
+
+def mis_table(parent):
+    """The (z_in, c_in, z_out, c_out) record of every position of a rooted
+    tree; ``parent`` is ``RootedTree.parent``."""
+    return _fold(parent, [MIS_LEAF] * len(parent), _mis_merge)
 
 
 def forest_tree_rows(levels_batch):

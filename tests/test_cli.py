@@ -246,7 +246,7 @@ def test_search_violation_exits_1(capsys, monkeypatch):
     assert "mds bound violations: 5" in out  # all five trees of orders 1..4
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="workers see the patched check only when forked")
 def test_worker_violations_match_across_jobs(capsys, monkeypatch):
     # Every tree fails the MDS check inside its task; with one block per

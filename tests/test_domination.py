@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scanned_min_dominating_sets
+from oracles import mds_table, scanned_min_dominating_sets
 from strategies import forests, labeled_trees, shuffled_forests
 from domcount.domination import (
     MDS_LEAF,
@@ -16,7 +16,6 @@ from domcount.domination import (
     count_min_dominating_sets,
     domination_number,
     enumerate_min_dominating_sets,
-    mds_table,
 )
 from domcount.forest import build_forest, classify_vertices, disjoint_union, path, root_at, spider, star
 from domcount.treegen import generate_trees

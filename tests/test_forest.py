@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from oracles import bfs_rooting, child_positions, pendant_two_paths
+from oracles import bfs_rooting, child_positions, mds_table, mis_table, pendant_two_paths
 from strategies import forests, relabeled
-from domcount.domination import enumerate_min_dominating_sets, mds_table
+from domcount.domination import enumerate_min_dominating_sets
 from domcount.family import build_family_tree
 from domcount.forest import (
     ForestError,
@@ -20,7 +20,7 @@ from domcount.forest import (
     spider,
     star,
 )
-from domcount.independence import enumerate_max_independent_sets, mis_table
+from domcount.independence import enumerate_max_independent_sets
 from domcount.treegen import generate_trees
 
 

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
+from oracles import mis_table
 from strategies import labeled_trees
 from domcount.forest import build_forest, disjoint_union, path, root_at, spider, star
 from domcount.independence import (
@@ -13,7 +14,6 @@ from domcount.independence import (
     enumerate_max_independent_sets,
     independence_number,
     is_subdivided_star,
-    mis_table,
 )
 from domcount.treegen import generate_trees
 

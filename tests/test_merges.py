@@ -15,11 +15,11 @@ import functools
 import itertools
 import random
 
-from domcount.domination import EMPTY_SET, MDS_LEAF, _fold, _mds_merge, _SetFamily, mds_table
+from domcount.domination import EMPTY_SET, MDS_LEAF, _fold, _mds_merge, _SetFamily
 from domcount.forest import build_forest, root_at
-from domcount.independence import MIS_LEAF, _mis_merge, mis_table
+from domcount.independence import MIS_LEAF, _mis_merge
 from domcount.treegen import generate_trees
-from oracles import child_positions
+from oracles import child_positions, mds_table, mis_table
 
 # Vertices with more children than this get sampled orders instead of all.
 MAX_PERMUTED = 6

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import multiprocessing
 import random
 import weakref
@@ -11,17 +12,16 @@ from domcount.domination import (
     _mds_containing,
     count_min_dominating_sets,
     enumerate_min_dominating_sets,
-    mds_table,
 )
 from domcount.family import build_family_tree
 from domcount.forest import classify_vertices, path, spider, star
-from domcount.independence import SpiderShape, count_max_independent_sets, is_subdivided_star, mis_table
+from domcount.independence import SpiderShape, count_max_independent_sets, is_subdivided_star
 from domcount.search import (
     DiagnosticsReport,
     HubConfiguration,
-    TreeRow,
     _fold_run,
     _Partial,
+    _read_rows,
     _records,
     _rest_entry,
     _subtree_record,
@@ -37,7 +37,7 @@ from domcount.search import (
     verify_mis_bound,
 )
 from domcount.treegen import CanonicalCode, _first_subtree_end, block_starts, canonical_code, generate_trees
-from oracles import forest_tree_rows
+from oracles import forest_tree_rows, mds_table, mis_table
 from strategies import random_tree, relabeled
 
 
@@ -286,7 +286,7 @@ def test_kernel_rows_match_forest_oracle():
             _subtree_record.cache_clear()
             _tables.cache_clear()
             for memos in ("cold", "warm"):
-                rows = _sweep_task(block_starts(n), TreeRow).rows
+                rows = _read_rows(_sweep_task(block_starts(n), True).rows, {})
                 assert rows == expected, (n, memos)
             cached_rests(n)
     finally:
@@ -386,8 +386,8 @@ def test_kernel_matches_counters_on_random_trees():
             entry = _rest_entry(levels[m:], (order.names[0], *order.names[m:]))
             star = entry if order.star and levels == order.star[0] + order.star[1] else None
             part = _Partial(rows=[])
-            _fold_run(part, levels, m, [entry], star, TreeRow)
-            (row,) = part.rows
+            _fold_run(part, levels, m, [entry], star)
+            (row,) = _read_rows("".join(part.rows), {})
             assert row == forest_tree_rows([levels])[0]
             assert row[2:6] == (dom.gamma, dom.mds_count, ind.alpha, ind.mis_count)
             shape = is_subdivided_star(forest)
@@ -399,11 +399,14 @@ def test_kernel_matches_counters_on_random_trees():
     assert stars >= 50
 
 
-@pytest.mark.parametrize("jobs", [
+FORKED_JOBS = [
     1,
-    pytest.param(2, marks=pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+    pytest.param(2, marks=pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                              reason="workers see the patched check only when forked")),
-])
+]
+
+
+@pytest.mark.parametrize("jobs", FORKED_JOBS)
 def test_every_failing_tree_is_reported(monkeypatch, jobs):
     # Trees share verdicts by their counts; a check that fails every tree
     # still reports every tree, once, in stream order.
@@ -413,6 +416,60 @@ def test_every_failing_tree_is_reported(monkeypatch, jobs):
     assert report.trees_processed == len(codes) == 201
     assert [code for code, _ in report.mds_bound_violations] == codes
     assert not report.mis_bound_violations and not report.order_bound_violations
+
+
+# One check forced to fail per case.  The digests are sha256 of the report
+# text and of the CSV lines of 1..10, recorded when each failing tree's
+# texts were still built per tree; the last violation is spelled out.
+@pytest.mark.parametrize("name, fake, kind, count, last, text_sha, csv_sha", [
+    ("verify_mds_bound", lambda gamma, count: False, "mds", 201,
+     ("c 10 0 0 0 0 0 0 0 0 0", "gamma=1 count=1 exceeds 2.4606^gamma"),
+     "bb736314966f95856967e21a03f5bf207b482590866fc0cf00d6678e65bafda4",
+     "7861d743cfa6cd5b9b241ab081f5b2ab6cf8b0c8f74151b177ec6782425195f3"),
+    ("mis_order_bound", lambda n: 0, "order", 201,
+     ("c 10 0 0 0 0 0 0 0 0 0", "order=10 count=1 exceeds order bound 0"),
+     "ccddecfe66f6f74e945d3864787499c3bd049a1db65bf5998f1727bb9b8cd17e",
+     "45cef00c705ce93f08e1489e009753a532b522c9a5acfca065ba47395b363c7b"),
+    # The subdivided stars exceed 2^(alpha-1); other trees meet it.
+    ("_mis_alpha_bound", lambda alpha: 1 << (alpha - 1), "mis", 8,
+     ("c 10 0 1 0 3 0 5 0 7 0", "alpha=5 count=17 exceeds 2^(alpha-1)+1"),
+     "724a5bceec9da760a3814927f41b10cbacbf3b33e67be54dc8e0b38d47242baa",
+     "4fd3c3cc950754d1b487f8254fe095d34f1e302ef71ee315ea21212ddf617aa3"),
+    # Equality with 2^alpha disagrees with the recognizer.
+    ("_mis_alpha_bound", lambda alpha: 1 << alpha, "mis", 4,
+     ("c 10 0 1 0 3 0 5 0 7 0", "alpha=5 count=17 equality=False recognizer=True"),
+     "b627f261a7e427874f5f35774c42be58027986eef30afb7fa171d68b6788f573",
+     "e6c7ca8831a1214285c3baf7bac79e435e6f6a174af314f6c63024f13c0bb488"),
+])
+@pytest.mark.parametrize("jobs", FORKED_JOBS)
+def test_violation_texts_are_pinned(monkeypatch, name, fake, kind, count, last, text_sha, csv_sha, jobs):
+    monkeypatch.setattr(search, name, fake)
+    report = search_extremal(1, 10, jobs=jobs, emit_rows=True)
+    found = {"mds": report.mds_bound_violations, "mis": report.mis_bound_violations,
+             "order": report.order_bound_violations}
+    assert {key: len(violations) for key, violations in found.items() if violations} == {kind: count}
+    assert found[kind][-1] == last
+    assert hashlib.sha256(report_text(report).encode()).hexdigest() == text_sha
+    csv = "".join(line + "\n" for line in report_csv_lines(report))
+    assert hashlib.sha256(csv.encode()).hexdigest() == csv_sha
+
+
+def test_spawned_workers_give_the_same_bytes(monkeypatch):
+    # Where the platform cannot fork, workers are spawned: they import the
+    # package afresh and share no table or memo with this process.
+    def run(jobs):
+        chunks = []
+        return report_text(search_extremal(1, 10, jobs=jobs, write=chunks.append)), "".join(chunks)
+
+    solo = run(1)
+    contexts = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None: contexts.append(method) or get_context(method))
+    assert run(2) == solo
+    assert contexts == ["spawn"]
+    assert solo[1].count("\n") == 202
 
 
 def test_each_even_order_has_one_subdivided_star_row():
