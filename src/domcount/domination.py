@@ -2,9 +2,10 @@
 
 Each tree component is rooted into a flat parent array (``root_at``) and
 folded from its last position to its first, so a vertex is complete
-before it is merged into its parent.  Per position the fold keeps a
-record of plain integers, (z0, c0, z1, c1, z2, c2): the minimum size and
-the exact number of sets of that size for three states:
+before it is merged into its parent, and its record is dropped once
+merged.  Per position the fold keeps a record of plain integers,
+(z0, c0, z1, c1, z2, c2): the minimum size and the exact number of sets
+of that size for three states:
 
   sigma0 -- the vertex is in the dominating set,
   sigma1 -- the vertex is out but dominated by one of its children,
@@ -110,13 +111,14 @@ def _mds_merge(acc, child):
     return z0, c0, z1, c1, z2, c2
 
 
-def _fold(parent: list[int], records: list, merge) -> list:
-    """Merge every position's record into its parent's, last position to
-    first, in place; ``records`` starts as each position's leaf record."""
+def _fold(parent: list[int], records: list, merge):
+    """The root's record: every position's record merged into its parent's,
+    last position to first.  ``records`` starts as each position's leaf
+    record; each is popped as it is merged, so no dead record is kept."""
     for i in range(len(parent) - 1, 0, -1):
         p = parent[i]
-        records[p] = merge(records[p], records[i])
-    return records
+        records[p] = merge(records[p], records.pop())
+    return records[0]
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,7 @@ def _fold_forest(forest: Forest, leaves, merge, pick, one=1) -> tuple:
     value = one
     for members in forest.components:
         tree = root_at(forest, members[0])
-        root = _fold(tree.parent, leaves(tree.order), merge)[0]
-        least, number = pick(*root[:4])
+        least, number = pick(*_fold(tree.parent, leaves(tree.order), merge)[:4])
         size += least
         value *= number
     return size, value

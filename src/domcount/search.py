@@ -39,15 +39,15 @@ rest's record with the first subtree's, and a lookup in the order's
 verdict table.  The merged result does not depend on the order children
 are merged in, so the first subtree may come last.
 
-The verdict table maps a tree's (gamma, MDS count, alpha, MIS count) to
-its CSV fields after the code and the texts of the checks it fails,
-computed once per key with the same calls as for a single tree: 1,666
-keys serve order 16, 5,057 order 18 and 15,173 order 20.  The one tree
-the table cannot serve is the order's subdivided star, whose recognizer
-verdict differs from every other tree's with its counts; it is found by
-its rest's index in its block's list, the only list of its rest size,
-and checked on its own.  The rest lists and verdicts of one order are kept at a time and
-dropped after the sweep.
+The verdict table maps a tree's (gamma, MDS count, alpha, MIS count, star
+flag) to its CSV fields after the code and the texts of the checks it
+fails, computed once per key with the same calls as for a single tree:
+1,667 keys serve order 16, 5,058 order 18 and 15,174 order 20.  The flag
+marks the order's subdivided star, whose recognizer verdict differs from
+every other tree's with its counts.  Its rest alone identifies it, as its
+first subtree (1, 2) is the only one of two vertices, so the rest's entry
+carries the flag.  The rest lists and verdicts of one order are kept at
+a time and dropped after the sweep.
 
 A task's partial holds its tree count, per gamma and per alpha the first
 of its trees to reach the task's best count, and its violations in order.
@@ -300,8 +300,8 @@ class _Order(NamedTuple):
     arrives (``_tables``)."""
     names: tuple[str, ...]  # each after a space
     lists: dict[int, RestList]
-    verdicts: dict[tuple[int, int, int, int], tuple]
-    star: tuple[tuple[int, ...], tuple[int, ...]] | None  # (first subtree, rest)
+    verdicts: dict[tuple[int, int, int, int, bool], tuple]
+    star: tuple[int, ...] | None  # the subdivided star's rest
 
 
 # Per-process tables of one order at a time; no entry carries over to
@@ -309,46 +309,45 @@ class _Order(NamedTuple):
 @functools.lru_cache(maxsize=1)
 def _tables(n: int) -> _Order:
     """Order n's vertex names, its rest lists by rest size (items are
-    ``_rest_entry``), its verdicts by (gamma, MDS count, alpha, MIS count)
-    (``_verdict``) and its subdivided star, cut at the end of its first
-    subtree."""
+    ``_rest_entry``), its verdicts by (gamma, MDS count, alpha, MIS count,
+    star flag) (``_verdict``) and its subdivided star's rest."""
     names = tuple(" " + str(i) for i in range(n))
     star = None
     if n % 2 == 0:
         # is_subdivided_star on canonical levels: at order 2k+2 the only
         # accepted code is (0,) + (1, 2)*k + (1,).
         code = (0,) + (1, 2) * ((n - 2) // 2) + (1,)
-        m = _first_subtree_end(code)
-        star = code[:m], code[m:]
+        star = code[_first_subtree_end(code):]
     return _Order(names, {}, {}, star)
 
 
-def _rest_entry(rest: tuple[int, ...], shifted: tuple[str, ...]) -> tuple:
-    """The root's (MDS, MIS) records over the children in ``rest``, and the
-    code string's parents of the rest.  ``shifted`` names the root and then
-    the rest's positions, each after a space."""
+def _rest_entry(rest: tuple[int, ...], shifted: tuple[str, ...], star: tuple[int, ...] | None) -> tuple:
+    """The root's (MDS, MIS) records over the children in ``rest``, the
+    code string's parents of the rest, and its star flag: whether it is
+    ``star``, the order's subdivided star's rest.  ``shifted`` names the
+    root and then the rest's positions, each after a space."""
     sub = (0, *rest)
     mds, mis = _records(sub)
-    return mds, mis, "".join(_parent_names(sub, shifted))
+    return mds, mis, "".join(_parent_names(sub, shifted)), rest == star
 
 
 def _verdict(n: int, gamma: int, mds_count: int, alpha: int, mis_count: int, is_star: bool) -> tuple:
     """A tree's CSV fields after its code (with the newline), and the checks
     it fails as (kind, detail), kind indexing ``_Partial.violations``; the
-    same for every tree of order n with these counts and star flag."""
-    bound = _mis_alpha_bound(alpha)
+    same for every tree of order n with these counts and star flag, which
+    ``verify_mis_bound`` reads as the recognizer's verdict."""
     mds_ok = verify_mds_bound(gamma, mds_count)
-    equality = mis_count == bound
+    mis = verify_mis_bound(alpha, mis_count, SpiderShape(is_star))
     failures = []
     if not mds_ok:
         failures.append((0, f"gamma={gamma} count={mds_count} exceeds 2.4606^gamma"))
-    if mis_count > bound:
+    if not mis.passed:
         failures.append((1, f"alpha={alpha} count={mis_count} exceeds 2^(alpha-1)+1"))
-    elif equality != is_star:
-        failures.append((1, f"alpha={alpha} count={mis_count} equality={equality} recognizer={is_star}"))
+    elif not mis.consistent:
+        failures.append((1, f"alpha={alpha} count={mis_count} equality={mis.equality} recognizer={is_star}"))
     if mis_count > (order_bound := mis_order_bound(n)):
         failures.append((2, f"order={n} count={mis_count} exceeds order bound {order_bound}"))
-    tail = _csv_tail(gamma, mds_count, alpha, mis_count, mds_ok, mis_count <= bound, equality, is_star)
+    tail = _csv_tail(gamma, mds_count, alpha, mis_count, mds_ok, mis.passed, mis.equality, is_star)
     return tail + "\n", tuple(failures)
 
 
@@ -385,27 +384,23 @@ def _fold_block(part: _Partial, start: tuple[int, ...]) -> None:
     if rests is None:
         # Position j of (0, *rest) is the root for j = 0, else position m + j - 1.
         shifted = (order.names[0], *order.names[m:])
-        rests = order.lists[n - m] = RestList(functools.partial(_rest_entry, shifted=shifted))
+        rests = order.lists[n - m] = RestList(functools.partial(_rest_entry, shifted=shifted, star=order.star))
     lo, hi = rests.run(start, m)
-    star = None
-    if order.star is not None and start[:m] == order.star[0]:
-        star = rests.items[rests.index[order.star[1]]]
-    _fold_run(part, start, m, rests.items[lo:hi], star)
+    _fold_run(part, start, m, rests.items[lo:hi])
 
 
-def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run, star) -> None:
+def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run) -> None:
     """Count and check the trees ``start[:m] + rest`` for the rests whose
     ``_rest_entry`` items are ``run``, and fold them into ``part`` in that
-    order.  ``star`` is the item of the order's subdivided star, or None.
-    When ``part.rows`` is a list, each tree's CSV line and newline is
-    appended to it.
+    order.  When ``part.rows`` is a list, each tree's CSV line and newline
+    is appended to it.
 
     The first subtree's records and code prefix are read once.  A tree
     costs one merge per counter of its rest's root record with the first
-    subtree's, one lookup of its order's verdict for its counts and, only
-    for a row, a new task record or a failed check, one string
-    concatenation; the verdict holds the failed checks' texts.  The star's
-    verdict is computed on its own.
+    subtree's, one lookup of its order's verdict for its counts and its
+    rest's star flag and, only for a row, a new task record or a failed
+    check, one string concatenation; the verdict holds the failed checks'
+    texts.
     """
     n = len(start)
     order = _tables(n)
@@ -421,17 +416,14 @@ def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run, star) -> None
     append = part.rows.append if part.rows is not None else None
     lead = f"{n},{prefix}"
     for entry in run:
-        rest_mds, rest_mis, suffix = entry
+        rest_mds, rest_mis, suffix, is_star = entry
         z0, c0, z1, c1, _, _ = mds_merge(rest_mds, first_mds)
         gamma, mds_count = _pick_min(z0, c0, z1, c1)
         alpha, mis_count = _pick_max(*mis_merge(rest_mis, first_mis))
-        key = (gamma, mds_count, alpha, mis_count)
-        if entry is star:
-            verdict = _verdict(n, *key, True)
-        else:
-            verdict = verdicts.get(key)
-            if verdict is None:
-                verdict = verdicts[key] = _verdict(n, *key, False)
+        key = (gamma, mds_count, alpha, mis_count, is_star)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = _verdict(n, *key)
         tail, failures = verdict
         if append:
             append(lead + suffix + tail)

@@ -88,7 +88,7 @@ without its root.  Two facts make every block one slice of that list:
   the successor steps through it one rest at a time.
 - A lazily extended list has no gap inside any block's run.  Blocks of
   one order and rest size come in stream order, so their first rests do
-  not increase.  ``RestList.run`` keeps the index from which the list is
+  not increase.  ``RestList.run`` keeps the place from which the list is
   one successor chain: the last first rest that it had to append.  A
   block's first rest is either in that chain, and the chain goes on down
   to the list's end; or below the end, and it is appended and starts a new
@@ -98,9 +98,11 @@ without its root.  Two facts make every block one slice of that list:
   its floor, so nothing is missing from the run.  A block out of stream
   order, whose first rest lies above the chain, starts the list over.
 
-So each block costs one dictionary lookup of its first rest (lo), a
-successor walk only for rests not listed yet, and a bisection of its
-floor (hi): the list's cost grows with rests and blocks, not trees.
+The list is strictly decreasing, as the successor steps down and a first
+rest is appended only below the list's end.  So each block costs two
+bisections, of the chain for its first rest (lo) and of its floor (hi),
+and a successor walk only for rests not listed yet: the list's cost grows
+with rests and blocks, not trees.
 
 Correctness is not taken on faith: the tests check the stream and the
 block slices against a generator without any skip and against the plain
@@ -311,20 +313,18 @@ class RestList:
     module docstring).
 
     ``run`` gives a block start's (lo, hi): ``rests[lo:hi]`` are the rests
-    of the block's trees in stream order.  ``index`` maps each listed rest
-    to its place.  With ``item``, ``items[i]`` is ``item(rests[i])``, built
-    once per rest.
+    of the block's trees in stream order, both ends found by bisection of
+    the strictly decreasing ``rests``.  With ``item``, ``items[i]`` is
+    ``item(rests[i])``, built once per rest.
     """
 
     def __init__(self, item: Callable[[tuple[int, ...]], object] | None = None):
         self.rests: list[tuple[int, ...]] = []
         self.items: list = []
         self._item = item
-        self.index: dict[tuple[int, ...], int] = {}
         self._chain = 0  # from here on, each rest is its predecessor's successor
 
     def _append(self, rest: tuple[int, ...]) -> None:
-        self.index[rest] = len(self.rests)
         self.rests.append(rest)
         if self._item is not None:
             self.items.append(self._item(rest))
@@ -334,13 +334,13 @@ class RestList:
         end of its first subtree."""
         rests = self.rests
         top = start[m:]
-        lo = self.index.get(top, -1)
-        if lo < self._chain:
+        # The first rest of the chain not above top, if it is top.
+        lo = bisect.bisect_left(rests, True, self._chain, key=top.__ge__)
+        if lo == len(rests) or rests[lo] != top:
             if rests and top > rests[-1]:
                 # Out of stream order: the list may have a gap below top.
                 rests.clear()
                 self.items.clear()
-                self.index.clear()
             self._chain = lo = len(rests)
             self._append(top)
         floor = tuple(_rest_floor(start, m))

@@ -15,9 +15,10 @@ the block walk without its jump past oversized first subtrees, and
 ``stack_parents`` reads parents off a level sequence with a stack.
 ``bfs_rooting`` is the breadth-first rooting the counters used before
 every forest kept its own.
-``mds_table`` and ``mis_table`` give every position's record of a rooted
-tree, folded with the counters' own merges; the counters keep only the
-root's.
+``fold_table`` is the counters' fold as it was before it dropped each
+record once merged: it keeps every position's record.  ``mds_table`` and
+``mis_table`` give every position's record of a rooted tree, folded with
+the counters' own merges; the counters keep only the root's.
 ``recursive_min_dominating_sets`` and ``recursive_max_independent_sets``
 are the enumerators as they were before they folded set families through
 the counters' merges: a memoised top-down recursion over those two
@@ -43,7 +44,6 @@ from operator import or_
 
 from domcount.domination import (
     MDS_LEAF,
-    _fold,
     _mds_merge,
     count_min_dominating_sets,
     enumerate_min_dominating_sets,
@@ -317,16 +317,26 @@ def bfs_rooting(forest, root):
     return order, parent
 
 
+def fold_table(parent, records, merge):
+    """Merge every position's record into its parent's, last position to
+    first, in place, and return ``records``, which starts as each
+    position's leaf record."""
+    for i in range(len(parent) - 1, 0, -1):
+        p = parent[i]
+        records[p] = merge(records[p], records[i])
+    return records
+
+
 def mds_table(parent):
     """The (z0, c0, z1, c1, z2, c2) record of every position of a rooted
     tree; ``parent`` is ``RootedTree.parent``."""
-    return _fold(parent, [MDS_LEAF] * len(parent), _mds_merge)
+    return fold_table(parent, [MDS_LEAF] * len(parent), _mds_merge)
 
 
 def mis_table(parent):
     """The (z_in, c_in, z_out, c_out) record of every position of a rooted
     tree; ``parent`` is ``RootedTree.parent``."""
-    return _fold(parent, [MIS_LEAF] * len(parent), _mis_merge)
+    return fold_table(parent, [MIS_LEAF] * len(parent), _mis_merge)
 
 
 def forest_tree_rows(levels_batch):

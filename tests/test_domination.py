@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 from operator import or_
 
@@ -18,6 +19,7 @@ from domcount.domination import (
     enumerate_min_dominating_sets,
 )
 from domcount.forest import build_forest, classify_vertices, disjoint_union, path, root_at, spider, star
+from domcount.independence import count_max_independent_sets
 from domcount.treegen import generate_trees
 
 
@@ -207,3 +209,24 @@ def test_members_and_forced_counts_on_shuffled_forests(forest, data):
 def test_members_and_forced_counts_on_the_empty_forest():
     # One set, the empty one: size 0, count 1, no members.
     check_members_and_forced_counts(build_forest(0, []), frozenset())
+
+
+def test_counters_keep_no_dead_records():
+    # Each record is dead once merged into its parent's, and the counters'
+    # fold drops it: on a long path only a few records are alive at a time,
+    # while the full table keeps all 20,000.  The path's rooting is built
+    # with the forest, before any peak is taken.
+    forest = path(20000)
+    parent = root_at(forest, 0).parent
+
+    def peak(fold, *args):
+        tracemalloc.start()
+        try:
+            fold(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    table = peak(mds_table, parent)
+    assert peak(count_min_dominating_sets, forest) < table / 4
+    assert peak(count_max_independent_sets, forest) < table / 4

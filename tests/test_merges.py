@@ -15,11 +15,11 @@ import functools
 import itertools
 import random
 
-from domcount.domination import EMPTY_SET, MDS_LEAF, _fold, _mds_merge, _SetFamily
+from domcount.domination import EMPTY_SET, MDS_LEAF, _mds_merge, _SetFamily
 from domcount.forest import build_forest, root_at
 from domcount.independence import MIS_LEAF, _mis_merge
 from domcount.treegen import generate_trees
-from oracles import child_positions, mds_table, mis_table
+from oracles import child_positions, fold_table, mds_table, mis_table
 
 # Vertices with more children than this get sampled orders instead of all.
 MAX_PERMUTED = 6
@@ -67,7 +67,7 @@ def check_orders(tree, orders_of):
         def family_merge(acc, child, merge=merge):
             return poisoned(merge(acc, child))
         counts = table(tree.parent)
-        families = _fold(tree.parent, [family_leaf(v) for v in tree.order], family_merge)
+        families = fold_table(tree.parent, [family_leaf(v) for v in tree.order], family_merge)
         for i, vertex_orders in enumerate(orders):
             expected = sorted_masks(families[i])
             assert [(size, 0 if masks is None else len(masks)) for size, masks in expected] == \

@@ -369,9 +369,9 @@ def test_sweep_releases_the_subtree_memo(monkeypatch):
 
 
 def test_kernel_matches_counters_on_random_trees():
-    # The kernel's per-tree path (rest entry, one merge per counter with
-    # the first subtree, verdict table, code prefix and suffix, the order's
-    # star) on one tree at a time, against the public counters and
+    # The kernel's per-tree path (rest entry with its star flag, one merge
+    # per counter with the first subtree, verdict table, code prefix and
+    # suffix) on one tree at a time, against the public counters and
     # recognizer on the labelled tree.
     rng = random.Random(20180)
     stars = 0
@@ -383,10 +383,9 @@ def test_kernel_matches_counters_on_random_trees():
             ind = count_max_independent_sets(forest)
             order = _tables(len(levels))
             m = _first_subtree_end(levels)
-            entry = _rest_entry(levels[m:], (order.names[0], *order.names[m:]))
-            star = entry if order.star and levels == order.star[0] + order.star[1] else None
+            entry = _rest_entry(levels[m:], (order.names[0], *order.names[m:]), order.star)
             part = _Partial(rows=[])
-            _fold_run(part, levels, m, [entry], star)
+            _fold_run(part, levels, m, [entry])
             (row,) = _read_rows("".join(part.rows), {})
             assert row == forest_tree_rows([levels])[0]
             assert row[2:6] == (dom.gamma, dom.mds_count, ind.alpha, ind.mis_count)

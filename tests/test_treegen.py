@@ -92,11 +92,16 @@ def test_block_slices_concatenate_to_stream():
             assert {first_subtree(levels) for levels in block} == {head}
 
 
+def strictly_decreasing(rests):
+    return all(a > b for a, b in zip(rests, rests[1:]))
+
+
 def test_every_block_is_one_run_of_its_rest_list():
     # Every block of orders 1..18: its slice of the rest list for its size
     # equals the plain successor stream of the block, and its rests are one
     # contiguous run of all the order's rests of that size, sorted
-    # decreasing.
+    # decreasing.  The list stays strictly decreasing, which its bisections
+    # rely on.
     for n in range(1, 19):
         lists, blocks = {}, []
         for start in block_starts(n):
@@ -105,6 +110,7 @@ def test_every_block_is_one_run_of_its_rest_list():
             lo, hi = rests.run(start, m)
             block = [levels[m:] for levels in block_trees(start)]
             assert rests.rests[lo:hi] == block, start
+            assert strictly_decreasing(rests.rests), start
             blocks.append((n - m, block))
         every = {}
         for size, block in blocks:
@@ -119,7 +125,8 @@ def test_every_block_is_one_run_of_its_rest_list():
 def test_rest_lists_serve_any_share_of_the_blocks():
     # A worker's lists see only its tasks' blocks: any share of them in
     # stream order gives each block its slice, building each rest's item
-    # once, and so do blocks that come in reverse (each starts over).
+    # once, and so do blocks that come in reverse (each starts over).  Each
+    # list stays strictly decreasing.
     rng = random.Random(19)
     for n in range(8, 16):
         starts = list(block_starts(n))
@@ -132,6 +139,7 @@ def test_rest_lists_serve_any_share_of_the_blocks():
                 lo, hi = rests.run(start, m)
                 assert rests.rests[lo:hi] == [levels[m:] for levels in block_trees(start)], start
                 assert rests.items == rests.rests
+                assert strictly_decreasing(rests.rests), start
             if in_order:
                 assert len(made) == len(set(made))
 
