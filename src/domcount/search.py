@@ -27,17 +27,18 @@ counters' own ``_mds_merge`` and ``_mis_merge``.
 
 Every tree of a block shares the root's first subtree, so its records and
 the code string's prefix, ``c n`` and the parents of the first subtree,
-are read once per block.  Only the rest of the tree changes, and a block's
-rests are one slice of its order's rest list for their size
-(``treegen.RestList``), which a worker extends from the blocks it
-receives.  Each listed rest carries its entry: the root's record over the
-rest's children and the rest's part of the code string.  The same rests
-recur across the blocks of an order: 2,677 rests serve the 19,320 trees
-(1,230 blocks) of order 16, 11,883 the 123,867 of order 18 and 55,879 the
-823,065 of order 20.  A tree then costs one merge per counter, of its
-rest's record with the first subtree's, and a lookup in the order's
-verdict table.  The merged result does not depend on the order children
-are merged in, so the first subtree may come last.
+are read once per block.  Only the rest of the tree changes, and a
+block's rests are one run of its order's rest list for their size
+(``treegen.RestList``), which starts at the latest block's first rest.
+Each listed rest carries its entry: the root's record over the rest's
+children and the rest's part of the code string.  The same rests recur
+across the blocks of an order: 2,677 rests serve the 19,320 trees (1,230
+blocks) of order 16, 11,883 the 123,867 of order 18 and 55,879 the
+823,065 of order 20, each built at most once per worker, and at most
+25,164 of order 20's are listed at a time.  A tree then costs one merge
+per counter, of its rest's record with the first subtree's, and a lookup
+in the order's verdict table.  The merged result does not depend on the
+order children are merged in, so the first subtree may come last.
 
 The verdict table maps a tree's (gamma, MDS count, alpha, MIS count, star
 flag) to its CSV fields after the code and the texts of the checks it
@@ -46,8 +47,8 @@ fails, computed once per key with the same calls as for a single tree:
 marks the order's subdivided star, whose recognizer verdict differs from
 every other tree's with its counts.  Its rest alone identifies it, as its
 first subtree (1, 2) is the only one of two vertices, so the rest's entry
-carries the flag.  The rest lists and verdicts of one order are kept at
-a time and dropped after the sweep.
+carries the flag.  Only one order's rest lists and verdicts are kept at
+a time, and they are dropped after the sweep.
 
 A task's partial holds its tree count, per gamma and per alpha the first
 of its trees to reach the task's best count, and its violations in order.
@@ -76,7 +77,7 @@ from typing import NamedTuple
 
 from .domination import MDS_LEAF, _mds_members, _mds_merge, _pick_min
 from .forest import Forest, classify_vertices, pendant_bundles
-from .independence import MIS_LEAF, SpiderShape, _mis_merge, _pick_max
+from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_merge, _pick_max
 from .limits import search_max_order
 from .treegen import CanonicalCode, RestList, _first_subtree_end, _parent_names, block_starts
 
@@ -156,8 +157,7 @@ def verify_mis_bound(alpha: int, count: int, shape: SpiderShape) -> MisBoundChec
     """count <= 2^(alpha-1)+1, equality expected exactly on subdivided stars."""
     bound = _mis_alpha_bound(alpha)
     equality = count == bound
-    return MisBoundCheck(passed=count <= bound, equality=equality,
-                         consistent=equality == shape.is_subdivided_star)
+    return MisBoundCheck(count <= bound, equality, equality == shape.is_subdivided_star)
 
 
 def _mis_alpha_bound(alpha: int) -> int:
@@ -331,13 +331,17 @@ def _rest_entry(rest: tuple[int, ...], shifted: tuple[str, ...], star: tuple[int
     return mds, mis, "".join(_parent_names(sub, shifted)), rest == star
 
 
+# The recognizer's verdict as ``verify_mis_bound`` reads it, by star flag.
+_STAR_SHAPES = (NOT_SUBDIVIDED_STAR, SpiderShape(True))
+
+
 def _verdict(n: int, gamma: int, mds_count: int, alpha: int, mis_count: int, is_star: bool) -> tuple:
     """A tree's CSV fields after its code (with the newline), and the checks
     it fails as (kind, detail), kind indexing ``_Partial.violations``; the
     same for every tree of order n with these counts and star flag, which
     ``verify_mis_bound`` reads as the recognizer's verdict."""
     mds_ok = verify_mds_bound(gamma, mds_count)
-    mis = verify_mis_bound(alpha, mis_count, SpiderShape(is_star))
+    mis = verify_mis_bound(alpha, mis_count, _STAR_SHAPES[is_star])
     failures = []
     if not mds_ok:
         failures.append((0, f"gamma={gamma} count={mds_count} exceeds 2.4606^gamma"))
@@ -374,8 +378,9 @@ def _fold_block(part: _Partial, start: tuple[int, ...]) -> None:
     """Count and check every tree of the block at ``start`` and fold them
     into ``part`` in stream order.
 
-    The block's rests are a slice of its order's rest list for their size,
-    which lists each rest once per process with its entry.
+    The block's rests are the run that its order's rest list for their size
+    returns; in stream order the list builds each rest's entry once per
+    process.
     """
     n = len(start)
     order = _tables(n)
@@ -385,8 +390,7 @@ def _fold_block(part: _Partial, start: tuple[int, ...]) -> None:
         # Position j of (0, *rest) is the root for j = 0, else position m + j - 1.
         shifted = (order.names[0], *order.names[m:])
         rests = order.lists[n - m] = RestList(functools.partial(_rest_entry, shifted=shifted, star=order.star))
-    lo, hi = rests.run(start, m)
-    _fold_run(part, start, m, rests.items[lo:hi])
+    _fold_run(part, start, m, rests.run(start, m))
 
 
 def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run) -> None:

@@ -23,7 +23,7 @@ to the floor.
 once: it yields the block's first sequence and jumps to its last, where
 the rest is all leaves under the root; the successor moves on from
 there.  A ``RestList`` per rest size then gives each block's rests as one
-slice of a list (see "Rest lists" below).  The exhaustive sweep runs the
+run of a list (see "Rest lists" below).  The exhaustive sweep runs the
 first step in its parent process and the second in its workers.
 
 A first subtree can be too big for its tree.  Let d be its depth (its
@@ -86,23 +86,25 @@ without its root.  Two facts make every block one slice of that list:
   least the block's floor are a prefix of the list.  The block is the
   overlap, from S repeated down to the last rest at least the floor, and
   the successor steps through it one rest at a time.
-- A lazily extended list has no gap inside any block's run.  Blocks of
-  one order and rest size come in stream order, so their first rests do
-  not increase.  ``RestList.run`` keeps the place from which the list is
-  one successor chain: the last first rest that it had to append.  A
-  block's first rest is either in that chain, and the chain goes on down
-  to the list's end; or below the end, and it is appended and starts a new
-  chain (the rests between the old end and it may be missing, but they
-  lie above every later block's first rest).  Either way the block's run
-  starts inside the chain, and successor steps extend the chain down to
-  its floor, so nothing is missing from the run.  A block out of stream
-  order, whose first rest lies above the chain, starts the list over.
+- A list holds one successor chain, from the first rest of the latest
+  block it served down.  ``RestList.run`` bisects the list for the
+  block's first rest.  If it is listed, the entries above it go; if not,
+  the list starts over with it.  Either way the list now starts at the
+  block's first rest, and successor steps extend it down to the floor, so
+  nothing is missing from the block's run.  In stream order, a block's
+  first rest is at most the previous first rest of its order and size,
+  and its run goes down from there, so no later block reads a dropped
+  rest.  A first rest that is not listed lies below the list's end (the
+  chain holds every rest between its ends) or, out of stream order, above
+  its start.  Both cases start over; in stream order the rests between
+  the old end and the new start lie above every later block's first rest,
+  so no block reads them.
 
-The list is strictly decreasing, as the successor steps down and a first
-rest is appended only below the list's end.  So each block costs two
-bisections, of the chain for its first rest (lo) and of its floor (hi),
-and a successor walk only for rests not listed yet: the list's cost grows
-with rests and blocks, not trees.
+The list is strictly decreasing, as the successor steps down.  So each
+block costs two bisections, for its first rest and of its floor, and a
+successor walk only for rests not listed yet: the list's cost grows with
+rests and blocks, not trees.  In stream order each rest is listed once,
+and the list holds no rest above the latest block's first rest.
 
 Correctness is not taken on faith: the tests check the stream and the
 block slices against a generator without any skip and against the plain
@@ -308,41 +310,31 @@ def _rooted_successor(levels: list[int], p: int, low: int) -> bool:
 
 
 class RestList:
-    """One order's rests of the tree of one size, in decreasing order, as
-    far as the blocks that asked for them need (see "Rest lists" in the
-    module docstring).
+    """One order's rests of the tree of one size, in decreasing order: one
+    successor chain from the first rest of the latest block served, down
+    as far as that block needs (see "Rest lists" in the module docstring).
 
-    ``run`` gives a block start's (lo, hi): ``rests[lo:hi]`` are the rests
-    of the block's trees in stream order, both ends found by bisection of
-    the strictly decreasing ``rests``.  With ``item``, ``items[i]`` is
-    ``item(rests[i])``, built once per rest.
+    ``items[i]`` is ``item(rests[i])``, built when the rest is listed.
     """
 
-    def __init__(self, item: Callable[[tuple[int, ...]], object] | None = None):
+    def __init__(self, item: Callable[[tuple[int, ...]], object]):
         self.rests: list[tuple[int, ...]] = []
         self.items: list = []
         self._item = item
-        self._chain = 0  # from here on, each rest is its predecessor's successor
 
-    def _append(self, rest: tuple[int, ...]) -> None:
-        self.rests.append(rest)
-        if self._item is not None:
-            self.items.append(self._item(rest))
-
-    def run(self, start: tuple[int, ...], m: int) -> tuple[int, int]:
-        """The slice of ``rests`` that holds the block at ``start``, m the
-        end of its first subtree."""
-        rests = self.rests
+    def run(self, start: tuple[int, ...], m: int) -> list:
+        """The items of the rests of the block at ``start``, in stream order,
+        m the end of its first subtree.  The list then starts at the block's
+        first rest."""
+        rests, items, item = self.rests, self.items, self._item
         top = start[m:]
-        # The first rest of the chain not above top, if it is top.
-        lo = bisect.bisect_left(rests, True, self._chain, key=top.__ge__)
-        if lo == len(rests) or rests[lo] != top:
-            if rests and top > rests[-1]:
-                # Out of stream order: the list may have a gap below top.
-                rests.clear()
-                self.items.clear()
-            self._chain = lo = len(rests)
-            self._append(top)
+        # In stream order no later block reads a rest above top.
+        lo = bisect.bisect_left(rests, True, key=top.__ge__)
+        if rests[lo:lo + 1] == [top]:
+            del rests[:lo], items[:lo]
+        else:
+            rests[:] = [top]
+            items[:] = [item(top)]
         floor = tuple(_rest_floor(start, m))
         if rests[-1] >= floor:
             levels = list(rests[-1])
@@ -350,9 +342,10 @@ class RestList:
                 rest = tuple(levels)
                 if rest < floor:
                     break
-                self._append(rest)
+                rests.append(rest)
+                items.append(item(rest))
         # The rests at least the floor are a prefix of the decreasing list.
-        return lo, bisect.bisect_left(rests, True, lo, key=floor.__gt__)
+        return items[:bisect.bisect_left(rests, True, key=floor.__gt__)]
 
 
 def generate_trees(n: int) -> Iterator[CanonicalCode]:
@@ -363,10 +356,8 @@ def generate_trees(n: int) -> Iterator[CanonicalCode]:
     lists: dict[int, RestList] = {}
     for start in block_starts(n):
         m = _first_subtree_end(start)
-        rests = lists.setdefault(n - m, RestList())
-        lo, hi = rests.run(start, m)
         head = start[:m]
-        for rest in rests.rests[lo:hi]:
+        for rest in lists.setdefault(n - m, RestList(lambda rest: rest)).run(start, m):
             yield CanonicalCode(head + rest)
 
 

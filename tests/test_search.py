@@ -294,14 +294,27 @@ def test_kernel_rows_match_forest_oracle():
         _tables.cache_clear()
 
 
-def test_rest_memo_holds_one_order():
+def test_rest_memo_holds_one_order(monkeypatch):
     # A block of a new order drops the last order's rests, whose code
-    # suffixes name positions after a first subtree of another size.
+    # suffixes name positions after a first subtree of another size.  Each
+    # of an order's rests is built once, none is carried over from another
+    # order, and every rest still listed belongs to the order.
+    built = []
+    rest_entry = search._rest_entry
+
+    def counting_rest_entry(rest, *args, **kwargs):
+        built.append(rest)
+        return rest_entry(rest, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_rest_entry", counting_rest_entry)
     try:
         for n in (7, 8, 7, 12):
+            built.clear()
             _sweep_task(block_starts(n))
             levels = [code.levels for code in generate_trees(n)]
-            assert sorted(cached_rests(n)) == sorted({seq[_first_subtree_end(seq):] for seq in levels})
+            rests = {seq[_first_subtree_end(seq):] for seq in levels}
+            assert sorted(built) == sorted(rests), n
+            assert set(cached_rests(n)) <= rests, n
     finally:
         _subtree_record.cache_clear()
         _tables.cache_clear()

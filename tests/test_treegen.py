@@ -97,21 +97,24 @@ def strictly_decreasing(rests):
 
 
 def test_every_block_is_one_run_of_its_rest_list():
-    # Every block of orders 1..18: its slice of the rest list for its size
+    # Every block of orders 1..18: its run of the rest list for its size
     # equals the plain successor stream of the block, and its rests are one
     # contiguous run of all the order's rests of that size, sorted
     # decreasing.  The list stays strictly decreasing, which its bisections
-    # rely on.
+    # rely on, and starts at the latest block's first rest.  In stream
+    # order no rest is built twice: the list never drops a rest that a
+    # later block reads.
     for n in range(1, 19):
-        lists, blocks = {}, []
+        made, lists, blocks = [], {}, []
         for start in block_starts(n):
             m = _first_subtree_end(start)
-            rests = lists.setdefault(n - m, RestList())
-            lo, hi = rests.run(start, m)
+            rests = lists.setdefault(n - m, RestList(lambda rest: made.append(rest) or rest))
             block = [levels[m:] for levels in block_trees(start)]
-            assert rests.rests[lo:hi] == block, start
+            assert rests.run(start, m) == block, start
+            assert rests.rests[0] == start[m:], start
             assert strictly_decreasing(rests.rests), start
             blocks.append((n - m, block))
+        assert len(made) == len(set(made)), n
         every = {}
         for size, block in blocks:
             every.setdefault(size, set()).update(block)
@@ -124,9 +127,10 @@ def test_every_block_is_one_run_of_its_rest_list():
 
 def test_rest_lists_serve_any_share_of_the_blocks():
     # A worker's lists see only its tasks' blocks: any share of them in
-    # stream order gives each block its slice, building each rest's item
+    # stream order gives each block its run, building each rest's item
     # once, and so do blocks that come in reverse (each starts over).  Each
-    # list stays strictly decreasing.
+    # list stays strictly decreasing and starts at the latest block's
+    # first rest.
     rng = random.Random(19)
     for n in range(8, 16):
         starts = list(block_starts(n))
@@ -136,9 +140,9 @@ def test_rest_lists_serve_any_share_of_the_blocks():
             for start in share:
                 m = _first_subtree_end(start)
                 rests = lists.setdefault(n - m, RestList(lambda rest: made.append(rest) or rest))
-                lo, hi = rests.run(start, m)
-                assert rests.rests[lo:hi] == [levels[m:] for levels in block_trees(start)], start
+                assert rests.run(start, m) == [levels[m:] for levels in block_trees(start)], start
                 assert rests.items == rests.rests
+                assert rests.rests[0] == start[m:], start
                 assert strictly_decreasing(rests.rests), start
             if in_order:
                 assert len(made) == len(set(made))
