@@ -12,9 +12,11 @@ of that size for three states:
   sigma2 -- the vertex is out and not yet dominated (its parent must be in).
 
 ``_mds_merge`` merges one child's record into its parent's; the fold and
-the exhaustive sweep's kernel (``search._records`` and ``search._fold_block``)
-both call it, so the recurrence is written once.  The merged result does not depend on the
-order children arrive in.  Merging a child adds sizes and multiplies
+the exhaustive sweep's subtree records (``search._records``) both call it,
+so the recurrence is written once.  ``_mds_lift`` is what the merge reads
+of a child; the sweep picks each tree's root from it without merging.
+The merged result does not depend on the order children arrive in.
+Merging a child adds sizes and multiplies
 counts; alternatives keep the smaller size and add counts on ties.  An
 infeasible state has size None and count 0.  sigma1 needs at least one
 child in sigma0: while children are merged, sigma2 doubles as the running
@@ -109,6 +111,20 @@ def _mds_merge(acc, child):
     if z_has is not None:
         z1, c1 = z_has, c_has
     return z0, c0, z1, c1, z2, c2
+
+
+def _mds_lift(child):
+    """What ``_mds_merge`` reads of a child's record (a0, n0, a1, n1, a2, m2),
+    as (size, count) pairs: the best of all three states, the best of
+    sigma0 and sigma1, sigma0, and sigma1.  A parent whose record is
+    (z0, c0, z1, c1, z2, c2) before this child has, once it is merged, the
+    sets counted by (z0 + best, c0 * n_best) in sigma0, by the better of
+    (z1 + low, c1 * n_low) and (z2 + a0, c2 * n0) in sigma1, and by
+    (z2 + a1, c2 * n1) in sigma2; the sweep picks a root from these
+    without merging."""
+    a0, n0, a1, n1, a2, m2 = child
+    low, n_low = _pick_min(a0, n0, a1, n1)
+    return (*_pick_min(low, n_low, a2, m2), low, n_low, a0, n0, a1, n1)
 
 
 def _fold(parent: list[int], records: list, merge):

@@ -1,10 +1,16 @@
-"""The two-level spider family: candidate maximizers of the MDS count.
+"""The two-level spider family: trees with many minimum dominating sets.
 
 A family tree is a root joined to k hubs, with hub i carrying p_i pendant
 paths of length two.  With p_1 + ... + p_k = g - 1 the tree has domination
 number g, and for the balanced choice of the p_i a closed-form expression
 gives its number of minimum dominating sets exactly.  Maximizing that
 expression over k yields one table row per g.
+
+The family does not hold the maximum.  Its best tree per g equals the
+exhaustive sweep's per-gamma record for g = 2..7, but from g = 8 on the
+sweep finds more sets at the family tree's own order: 372 against 368 at
+order 18 (g = 8), 808 against 788 at order 20 (g = 9) and 1,696 against
+1,688 at order 22 (g = 10).
 
 Table rows carry two value columns.  The full closed form (1688 for g=10,
 k=3) is the total count, confirmed by the dynamic program and the

@@ -51,6 +51,14 @@ def _mis_merge(acc, child):
     return z_in + b, c_in * n_b, z_out + a, c_out * (n_a + n_b)
 
 
+def _mis_lift(child):
+    """What ``_mis_merge`` reads of a child's record (a, n_a, b, n_b), as
+    (size, count) pairs: its OUT state, which joins the parent's IN, and
+    the best of IN and OUT, which joins the parent's OUT."""
+    a, n_a, b, n_b = child
+    return (b, n_b, *_pick_max(a, n_a, b, n_b))
+
+
 @dataclass(frozen=True)
 class IndResult:
     alpha: int

@@ -25,20 +25,25 @@ entries one level below its first, each child's slice is looked up in a
 per-process memo of its records, and the records are merged with the
 counters' own ``_mds_merge`` and ``_mis_merge``.
 
-Every tree of a block shares the root's first subtree, so its records and
-the code string's prefix, ``c n`` and the parents of the first subtree,
-are read once per block.  Only the rest of the tree changes, and a
-block's rests are one run of its order's rest list for their size
-(``treegen.RestList``), which starts at the latest block's first rest.
-Each listed rest carries its entry: the root's record over the rest's
-children and the rest's part of the code string.  The same rests recur
-across the blocks of an order: 2,677 rests serve the 19,320 trees (1,230
-blocks) of order 16, 11,883 the 123,867 of order 18 and 55,879 the
-823,065 of order 20, each built at most once per worker, and at most
-25,164 of order 20's are listed at a time.  A tree then costs one merge
-per counter, of its rest's record with the first subtree's, and a lookup
-in the order's verdict table.  The merged result does not depend on the
-order children are merged in, so the first subtree may come last.
+Every tree of a block shares the root's first subtree, so its records
+are lifted once per block to what a parent's merge reads of them
+(``_mds_lift``, ``_mis_lift``), and the code string's prefix, ``c n``
+and the parents of the first subtree, is built once per block.  Only the
+rest of the tree changes, and a block's rests are one run of its order's
+rest list for their size (``treegen.RestList``), which starts at the
+latest block's first rest.  Each listed rest carries its entry: the
+root's record over the rest's children and the rest's part of the code
+string.  The same rests recur across the blocks of an order: 2,677 rests
+serve the 19,320 trees (1,230 blocks) of order 16, 11,883 the 123,867 of
+order 18 and 55,879 the 823,065 of order 20, each built at most once per
+worker, and at most 25,164 of order 20's are listed at a time.  A tree
+then costs its root's pick, written out in ``_fold_run``: the least of
+three (size, count) candidates for gamma and the larger of two for
+alpha, counts adding on ties, read from its rest's root record and the
+lifted first subtree.  That is the counters' pick of the root's record
+with the first subtree merged last, without building the record; the
+merged result does not depend on the order children are merged in.  Then
+one lookup in the order's verdict table.
 
 The verdict table maps a tree's (gamma, MDS count, alpha, MIS count, star
 flag) to its CSV fields after the code and the texts of the checks it
@@ -51,22 +56,28 @@ carries the flag.  Only one order's rest lists and verdicts are kept at
 a time, and they are dropped after the sweep.
 
 A task's partial holds its tree count, per gamma and per alpha the first
-of its trees to reach the task's best count, and its violations in order.
-A tree's code string is built only when it sets a task record, fails a
-check or is emitted as a row.  The parent merges the partials in task
-order, which is stream order: orders ascend, blocks follow the generator,
-and codes strictly increase within an order.  It replaces a record only
-on a strictly larger count, so the first tree to reach a record count is
-the tie-break winner whatever the worker count and task size, and the
-report is identical for every ``jobs`` value.  Rows, when wanted, come
-back with their task as one CSV text, which the caller writes as it
-arrives, so the parent never holds every row; ``TreeRow`` tuples are read
-back from that text in the parent, never built by a worker.
+of its trees to reach the task's best count, and its violations in
+order.  A tree's code string is built only when it sets a task record,
+fails a check or is emitted as a row.  With several jobs the tasks go to
+a process pool in stream order, at most _TASKS_PER_WORKER per worker
+submitted and not yet consumed, so a slow writer of the rows holds the
+workers back instead of letting their results pile up in the parent.  On
+an error the tasks no worker has taken are dropped and the workers exit
+before the error reaches the caller.  The parent merges the partials in
+task order, which is stream order: orders ascend, blocks follow the
+generator, and codes strictly increase within an order.  It replaces a
+record only on a strictly larger count, so the first tree to reach a
+record count is the tie-break winner whatever the worker count and task
+size, and the report is identical for every ``jobs`` value.  Rows, when
+wanted, come back with their task as one CSV text, which the caller
+writes as it arrives, so the parent never holds every row; ``TreeRow``
+tuples are read back from that text in the parent, never built by a
+worker.
 """
 
 from __future__ import annotations
 
-import contextlib
+import collections
 import functools
 import itertools
 import multiprocessing
@@ -75,9 +86,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .domination import MDS_LEAF, _mds_members, _mds_merge, _pick_min
+from .domination import MDS_LEAF, _mds_lift, _mds_members, _mds_merge
 from .forest import Forest, classify_vertices, pendant_bundles
-from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_merge, _pick_max
+from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_lift, _mis_merge
 from .limits import search_max_order
 from .treegen import CanonicalCode, RestList, _first_subtree_end, _parent_names, block_starts
 
@@ -95,6 +106,13 @@ _BOUND_DENOMINATOR = 10000
 # First-subtree blocks per task.  Tasks may span orders; order 16 has 1,230
 # blocks, none with over 3 % of its trees.
 _BLOCKS_PER_TASK = 64
+
+# Tasks per worker submitted and not yet consumed: few enough that finished
+# tasks' rows do not pile up in the parent behind a slow writer, enough
+# that a worker seldom waits while the oldest task, which may hold 100
+# times the trees of the next ones, is still running.  With 3, two workers
+# idled about a sixth of a 1..20 sweep.
+_TASKS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -355,9 +373,12 @@ def _verdict(n: int, gamma: int, mds_count: int, alpha: int, mis_count: int, is_
     return tail + "\n", tuple(failures)
 
 
-def _alone(acc, child):
-    """The merge of a root with no first subtree: the single vertex."""
-    return acc
+# The lifts, as ``_fold_run`` reads them, of a root with no first subtree,
+# the single vertex: its states pass through (size 0, count 1), and the MDS
+# candidate that needs the first subtree in sigma0 counts no sets, at a
+# size that is never below the root's own sigma0 size 1.
+_MDS_ALONE = (0, 1, 0, 1, 1, 0)
+_MIS_ALONE = (0, 1, 0, 1)
 
 
 @dataclass
@@ -399,12 +420,14 @@ def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run) -> None:
     order.  When ``part.rows`` is a list, each tree's CSV line and newline
     is appended to it.
 
-    The first subtree's records and code prefix are read once.  A tree
-    costs one merge per counter of its rest's root record with the first
-    subtree's, one lookup of its order's verdict for its counts and its
-    rest's star flag and, only for a row, a new task record or a failed
-    check, one string concatenation; the verdict holds the failed checks'
-    texts.
+    The first subtree's records are lifted once (``_mds_lift``,
+    ``_mis_lift``) and the code prefix is built once.  A tree costs the
+    root's pick of the join of its rest's root record with the lifted first
+    subtree, written out: the least of three (size, count) candidates for
+    gamma and the larger of two for alpha, counts adding on ties.  Then one
+    lookup of its order's verdict for its counts and its rest's star flag
+    and, only for a row, a new task record or a failed check, one string
+    concatenation; the verdict holds the failed checks' texts.
     """
     n = len(start)
     order = _tables(n)
@@ -412,18 +435,37 @@ def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run) -> None:
     prefix = f"c {n}" + "".join(_parent_names(start[:m], order.names))
     if m > 1:
         first_mds, first_mis = _subtree_record(start[1:m])
-        mds_merge, mis_merge = _mds_merge, _mis_merge
+        best, n_best, low, n_low, a0, n0 = _mds_lift(first_mds)[:6]
+        b, n_b, top, n_top = _mis_lift(first_mis)
     else:
-        first_mds = first_mis = None
-        mds_merge = mis_merge = _alone
+        best, n_best, low, n_low, a0, n0 = _MDS_ALONE
+        b, n_b, top, n_top = _MIS_ALONE
     gamma_best, alpha_best, violations = part.gamma_best, part.alpha_best, part.violations
     append = part.rows.append if part.rows is not None else None
     lead = f"{n},{prefix}"
-    for entry in run:
-        rest_mds, rest_mis, suffix, is_star = entry
-        z0, c0, z1, c1, _, _ = mds_merge(rest_mds, first_mds)
-        gamma, mds_count = _pick_min(z0, c0, z1, c1)
-        alpha, mis_count = _pick_max(*mis_merge(rest_mis, first_mis))
+    for (z0, c0, z1, c1, z2, c2), (z_in, c_in, z_out, c_out), suffix, is_star in run:
+        # The root in; dominated by a rest child; dominated by the first
+        # subtree's root alone.  z1 is None only for an empty rest.
+        gamma, mds_count = z0 + best, c0 * n_best
+        if z1 is not None:
+            z = z1 + low
+            if z < gamma:
+                gamma, mds_count = z, c1 * n_low
+            elif z == gamma:
+                mds_count += c1 * n_low
+        if z2 is not None:
+            z = z2 + a0
+            if z < gamma:
+                gamma, mds_count = z, c2 * n0
+            elif z == gamma:
+                mds_count += c2 * n0
+        # The root in, with the first subtree's root out; the root out.
+        alpha, mis_count = z_in + b, c_in * n_b
+        z = z_out + top
+        if z > alpha:
+            alpha, mis_count = z, c_out * n_top
+        elif z == alpha:
+            mis_count += c_out * n_top
         key = (gamma, mds_count, alpha, mis_count, is_star)
         verdict = verdicts.get(key)
         if verdict is None:
@@ -431,11 +473,11 @@ def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run) -> None:
         tail, failures = verdict
         if append:
             append(lead + suffix + tail)
-        best = gamma_best.get(gamma)
-        if best is None or mds_count > best[0]:
+        record = gamma_best.get(gamma)
+        if record is None or mds_count > record[0]:
             gamma_best[gamma] = (mds_count, n, prefix + suffix)
-        best = alpha_best.get(alpha)
-        if best is None or mis_count > best[0]:
+        record = alpha_best.get(alpha)
+        if record is None or mis_count > record[0]:
             alpha_best[alpha] = (mis_count, n, prefix + suffix)
         for kind, detail in failures:
             violations[kind].append((prefix + suffix, detail))
@@ -465,6 +507,20 @@ def _read_rows(text: str, tails: dict[str, tuple]) -> list[TreeRow]:
     return rows
 
 
+def _in_order(submit, tasks, window: int):
+    """``submit(task).result()`` for each of ``tasks``, in task order, with
+    at most ``window`` tasks submitted and not yet consumed: the next task
+    is submitted only once the caller has consumed the oldest result and
+    asks for the next one."""
+    pending = collections.deque()
+    for task in tasks:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(submit(task))
+    while pending:
+        yield pending.popleft().result()
+
+
 def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bool = False,
                     write: Callable[[str], object] | None = None) -> SearchReport:
     """Sweep all free trees with min_order <= n <= max_order.
@@ -481,10 +537,11 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
     smaller code.  The report is byte-for-byte identical for every ``jobs``
     value and every task size.
 
-    Workers are forked where the platform can fork, else spawned.  A task
-    returns its rows, when wanted, as CSV text.  With ``emit_rows``,
-    ``report.rows`` lists every tree's ``TreeRow``, read back from that
-    text.  With ``write``, the CSV header and then each task's text are
+    Workers are forked where the platform can fork, else spawned, and get
+    the next task as the oldest result is consumed, at most
+    _TASKS_PER_WORKER per worker ahead.  A task returns its rows, when
+    wanted, as CSV text.  With ``emit_rows``, ``report.rows`` lists every
+    tree's ``TreeRow``, read back from that text.  With ``write``, the CSV header and then each task's text are
     passed to ``write`` in stream order once the arguments are checked, and
     no row is kept.
     """
@@ -509,22 +566,33 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
     task = functools.partial(_sweep_task, rows=emit_rows or write is not None)
     starts = (start for n in range(min_order, max_order + 1) for start in block_starts(n))
     tasks = iter(lambda: list(itertools.islice(starts, _BLOCKS_PER_TASK)), [])
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    executor = None
     try:
-        with multiprocessing.get_context(method).Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-            for part in pool.imap(task, tasks) if pool else map(task, tasks):
-                trees += part.trees
-                for best, records in ((gamma_best, part.gamma_best), (alpha_best, part.alpha_best)):
-                    for key, record in records.items():
-                        if key not in best or record[0] > best[key][0]:
-                            best[key] = record
-                for merged, found in zip(violations, part.violations):
-                    merged += found
-                if write is not None:
-                    write(part.rows)
-                elif emit_rows:
-                    rows += _read_rows(part.rows, tails)
+        if jobs > 1:
+            # Imported here, as it adds 10-15 ms to importing the package.
+            from concurrent.futures import ProcessPoolExecutor
+            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+            executor = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context(method))
+            parts = _in_order(functools.partial(executor.submit, task), tasks, _TASKS_PER_WORKER * jobs)
+        else:
+            parts = map(task, tasks)
+        for part in parts:
+            trees += part.trees
+            for best, records in ((gamma_best, part.gamma_best), (alpha_best, part.alpha_best)):
+                for key, record in records.items():
+                    if key not in best or record[0] > best[key][0]:
+                        best[key] = record
+            for merged, found in zip(violations, part.violations):
+                merged += found
+            if write is not None:
+                write(part.rows)
+            elif emit_rows:
+                rows += _read_rows(part.rows, tails)
     finally:
+        if executor is not None:
+            # After an error, drop the tasks no worker has taken and wait
+            # for the workers to exit.
+            executor.shutdown(cancel_futures=True)
         # Records are cheap to rebuild; do not keep them past the sweep.
         _subtree_record.cache_clear()
         _tables.cache_clear()

@@ -1,21 +1,34 @@
 import gc
 import hashlib
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import time
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from domcount import search
 from domcount.domination import (
     _mds_containing,
+    _mds_merge,
+    _pick_min,
     count_min_dominating_sets,
     enumerate_min_dominating_sets,
 )
 from domcount.family import build_family_tree
 from domcount.forest import classify_vertices, path, spider, star
-from domcount.independence import SpiderShape, count_max_independent_sets, is_subdivided_star
+from domcount.independence import (
+    SpiderShape,
+    _mis_merge,
+    _pick_max,
+    count_max_independent_sets,
+    is_subdivided_star,
+)
 from domcount.search import (
     DiagnosticsReport,
     HubConfiguration,
@@ -411,11 +424,67 @@ def test_kernel_matches_counters_on_random_trees():
     assert stars >= 50
 
 
-FORKED_JOBS = [
-    1,
-    pytest.param(2, marks=pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                             reason="workers see the patched check only when forked")),
-]
+def kernel_picks(start, m, run):
+    # (gamma, MDS count, alpha, MIS count) of each tree of the run, as the
+    # kernel's inline root pick gives them, read from its rows.
+    part = _Partial(rows=[])
+    _fold_run(part, start, m, run)
+    return [tuple(map(int, line.split(",")[2:6])) for line in part.rows]
+
+
+def merged_picks(start, m, run):
+    # The same from the full merges of each rest's records with the first
+    # subtree's, picked as the counters pick a root.
+    first = _subtree_record(start[1:m]) if m > 1 else None
+    picks = []
+    for rest_mds, rest_mis, _, _ in run:
+        mds = _mds_merge(rest_mds, first[0]) if first else rest_mds
+        mis = _mis_merge(rest_mis, first[1]) if first else rest_mis
+        picks.append((*_pick_min(*mds[:4]), *_pick_max(*mis)))
+    return picks
+
+
+def test_lifted_root_pick_matches_the_merges(monkeypatch):
+    # The kernel picks each tree's root from the lifted first subtree
+    # without merging; the counters, the enumerators and the subtree memo
+    # still merge.  Both must agree on every (rest, first subtree) pair the
+    # sweep meets at orders 1..14, on pairs cut from random trees and on
+    # the single vertex, whose root has no first subtree.
+    runs = []
+    fold_run = search._fold_run
+
+    def checked_fold_run(part, start, m, run):
+        runs.append(len(run))
+        assert kernel_picks(start, m, run) == merged_picks(start, m, run), start
+        fold_run(part, start, m, run)
+
+    monkeypatch.setattr(search, "_fold_run", checked_fold_run)
+    assert search_extremal(1, 14).trees_processed == sum(runs)
+    assert len(runs) == sum(1 for n in range(1, 15) for _ in block_starts(n))
+
+    rng = random.Random(26)
+    previous = (0,)
+    try:
+        assert kernel_picks((0,), 1, [_rest_entry((), (" 0",), None)]) == [(1, 1, 1, 1)]
+        for _ in range(3000):
+            levels = canonical_code(random_tree(rng)).levels
+            # The tree's own split, and the previous tree hung below its
+            # root as the first subtree: larger than the rest, or not.
+            m = _first_subtree_end(levels)
+            cross = (0, *(x + 1 for x in previous), *levels[1:])
+            for start, m in ((levels, m), (cross, len(previous) + 1)):
+                order = _tables(len(start))
+                run = [_rest_entry(start[m:], (order.names[0], *order.names[m:]), None)]
+                assert kernel_picks(start, m, run) == merged_picks(start, m, run), start
+            previous = levels
+    finally:
+        _subtree_record.cache_clear()
+        _tables.cache_clear()
+
+
+FORKS = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                           reason="workers see the patched check only when forked")
+FORKED_JOBS = [1, pytest.param(2, marks=FORKS)]
 
 
 @pytest.mark.parametrize("jobs", FORKED_JOBS)
@@ -482,6 +551,71 @@ def test_spawned_workers_give_the_same_bytes(monkeypatch):
     assert run(2) == solo
     assert contexts == ["spawn"]
     assert solo[1].count("\n") == 202
+
+
+@FORKS
+def test_a_failing_sweep_stops_its_workers(monkeypatch):
+    # A write that fails, as into a closed pipe, and a check that raises in
+    # a worker: each error reaches the caller with its type, the tasks not
+    # yet taken are dropped, no worker outlives the sweep and the memos are
+    # released.
+    monkeypatch.setattr(search, "_BLOCKS_PER_TASK", 1)
+    writes = []
+
+    def failing_write(text):
+        writes.append(text)
+        if len(writes) == 2:
+            raise BrokenPipeError("closed")
+
+    def failing_check(gamma, count):
+        if gamma == 4:
+            raise RuntimeError("check failed")
+        return verify_mds_bound(gamma, count)
+
+    with pytest.raises(BrokenPipeError):
+        search_extremal(1, 14, jobs=2, write=failing_write)
+    assert len(writes) == 2
+    monkeypatch.setattr(search, "verify_mds_bound", failing_check)
+    with pytest.raises(RuntimeError, match="check failed"):
+        search_extremal(1, 14, jobs=2)
+    assert multiprocessing.active_children() == []
+    assert _subtree_record.cache_info().currsize == 0
+    assert _tables.cache_info().currsize == 0
+
+
+def test_workers_run_at_most_a_window_ahead(monkeypatch):
+    # Behind a slow writer, tasks are submitted only as their results are
+    # consumed: never more than the window of tasks per worker is
+    # submitted and not yet written.
+    from concurrent.futures import ProcessPoolExecutor
+
+    submitted, written, ahead = [0], [-1], []  # the header is no task
+    submit = ProcessPoolExecutor.submit
+
+    def counting_submit(self, *args, **kwargs):
+        submitted[0] += 1
+        ahead.append(submitted[0] - written[0])
+        return submit(self, *args, **kwargs)
+
+    def slow_write(text):
+        time.sleep(0.001)
+        written[0] += 1
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+    monkeypatch.setattr(search, "_BLOCKS_PER_TASK", 1)
+    search_extremal(1, 12, jobs=2, write=slow_write)
+    assert submitted[0] == written[0] == sum(1 for n in range(1, 13) for _ in block_starts(n))
+    assert max(ahead) == 2 * search._TASKS_PER_WORKER
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The process pools load only when a sweep runs with several jobs, so
+    # they add nothing to the start-up of any other command.
+    code = ("import sys, domcount.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing.pool') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_each_even_order_has_one_subdivided_star_row():
