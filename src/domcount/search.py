@@ -29,13 +29,15 @@ Every tree of a block shares the root's first subtree, so its records
 are lifted once per block to what a parent's merge reads of them
 (``_mds_lift``, ``_mis_lift``), and the code string's prefix, ``c n``
 and the parents of the first subtree, is built once per block.  Only the
-rest of the tree changes, and a block's rests are one run of its order's
-rest list for their size (``treegen.RestList``), which starts at the
-latest block's first rest.  Each listed rest carries its entry: the
-root's record over the rest's children and the rest's part of the code
-string.  The same rests recur across the blocks of an order: 2,677 rests
-serve the 19,320 trees (1,230 blocks) of order 16, 11,883 the 123,867 of
-order 18 and 55,879 the 823,065 of order 20, each built at most once per
+rest of the tree changes.  Each order has one ``treegen.RestList``, the
+same block driver ``generate_trees`` uses: ``run(start)`` finds the
+block's first subtree and gives its rests as one run of the list for
+their size, which starts at the latest block's first rest.  Each listed
+rest carries its entry (``_rest_entry``): the root's record over the
+rest's children, the rest's part of the code string and its star flag.
+The same rests recur across the blocks of an order: 2,677 rests serve
+the 19,320 trees (1,230 blocks) of order 16, 11,883 the 123,867 of order
+18 and 55,879 the 823,065 of order 20, each built at most once per
 worker, and at most 25,164 of order 20's are listed at a time.  A tree
 then costs its root's pick, written out in ``_fold_run``: the least of
 three (size, count) candidates for gamma and the larger of two for
@@ -52,8 +54,8 @@ fails, computed once per key with the same calls as for a single tree:
 marks the order's subdivided star, whose recognizer verdict differs from
 every other tree's with its counts.  Its rest alone identifies it, as its
 first subtree (1, 2) is the only one of two vertices, so the rest's entry
-carries the flag.  Only one order's rest lists and verdicts are kept at
-a time, and they are dropped after the sweep.
+carries the flag.  Only one order's rest list and verdicts are kept at a
+time, and they are dropped after the sweep.
 
 A task's partial holds its tree count, per gamma and per alpha the first
 of its trees to reach the task's best count, and its violations in
@@ -90,7 +92,7 @@ from .domination import MDS_LEAF, _mds_lift, _mds_members, _mds_merge
 from .forest import Forest, classify_vertices, pendant_bundles
 from .independence import MIS_LEAF, NOT_SUBDIVIDED_STAR, SpiderShape, _mis_lift, _mis_merge
 from .limits import search_max_order
-from .treegen import CanonicalCode, RestList, _first_subtree_end, _parent_names, block_starts
+from .treegen import CanonicalCode, RestList, _parent_names, block_starts
 
 # The sweep does not call these, but perfbench's traced run patches them by
 # name on this module (``SEARCH_SPANS``), so they stay importable from here.
@@ -317,7 +319,7 @@ class _Order(NamedTuple):
     """One order's per-process tables, built when a block of the order
     arrives (``_tables``)."""
     names: tuple[str, ...]  # each after a space
-    lists: dict[int, RestList]
+    rests: RestList
     verdicts: dict[tuple[int, int, int, int, bool], tuple]
     star: tuple[int, ...] | None  # the subdivided star's rest
 
@@ -326,27 +328,29 @@ class _Order(NamedTuple):
 # another order, and the cache is cleared after each sweep.
 @functools.lru_cache(maxsize=1)
 def _tables(n: int) -> _Order:
-    """Order n's vertex names, its rest lists by rest size (items are
-    ``_rest_entry``), its verdicts by (gamma, MDS count, alpha, MIS count,
-    star flag) (``_verdict``) and its subdivided star's rest."""
+    """Order n's vertex names, its rest list (items are ``_rest_entry``),
+    its verdicts by (gamma, MDS count, alpha, MIS count, star flag)
+    (``_verdict``) and its subdivided star's rest."""
     names = tuple(" " + str(i) for i in range(n))
     star = None
     if n % 2 == 0:
         # is_subdivided_star on canonical levels: at order 2k+2 the only
-        # accepted code is (0,) + (1, 2)*k + (1,).
-        code = (0,) + (1, 2) * ((n - 2) // 2) + (1,)
-        star = code[_first_subtree_end(code):]
-    return _Order(names, {}, {}, star)
+        # accepted code is (0,) + (1, 2)*k + (1,), whose first subtree
+        # (1, 2) ends at position 3; at order 2 the rest is empty.
+        star = ((0,) + (1, 2) * ((n - 2) // 2) + (1,))[3:]
+    return _Order(names, RestList(functools.partial(_rest_entry, names=names, star=star)), {}, star)
 
 
-def _rest_entry(rest: tuple[int, ...], shifted: tuple[str, ...], star: tuple[int, ...] | None) -> tuple:
+def _rest_entry(rest: tuple[int, ...], m: int, names: tuple[str, ...], star: tuple[int, ...] | None) -> tuple:
     """The root's (MDS, MIS) records over the children in ``rest``, the
     code string's parents of the rest, and its star flag: whether it is
-    ``star``, the order's subdivided star's rest.  ``shifted`` names the
-    root and then the rest's positions, each after a space."""
+    ``star``, the order's subdivided star's rest.  The rest follows a first
+    subtree that ends at position m, and ``names`` names the tree's
+    positions, each after a space."""
     sub = (0, *rest)
     mds, mis = _records(sub)
-    return mds, mis, "".join(_parent_names(sub, shifted)), rest == star
+    # Position j of sub is the root for j = 0, else position m + j - 1.
+    return mds, mis, "".join(_parent_names(sub, (names[0], *names[m:]))), rest == star
 
 
 # The recognizer's verdict as ``verify_mis_bound`` reads it, by star flag.
@@ -393,25 +397,6 @@ class _Partial:
     alpha_best: dict[int, tuple[int, int, str]] = field(default_factory=dict)
     violations: tuple[list[tuple[str, str]], ...] = field(default_factory=lambda: ([], [], []))
     rows: list[str] | str | None = None
-
-
-def _fold_block(part: _Partial, start: tuple[int, ...]) -> None:
-    """Count and check every tree of the block at ``start`` and fold them
-    into ``part`` in stream order.
-
-    The block's rests are the run that its order's rest list for their size
-    returns; in stream order the list builds each rest's entry once per
-    process.
-    """
-    n = len(start)
-    order = _tables(n)
-    m = _first_subtree_end(start)
-    rests = order.lists.get(n - m)
-    if rests is None:
-        # Position j of (0, *rest) is the root for j = 0, else position m + j - 1.
-        shifted = (order.names[0], *order.names[m:])
-        rests = order.lists[n - m] = RestList(functools.partial(_rest_entry, shifted=shifted, star=order.star))
-    _fold_run(part, start, m, rests.run(start, m))
 
 
 def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run) -> None:
@@ -486,10 +471,12 @@ def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run) -> None:
 
 def _sweep_task(starts, rows: bool = False) -> _Partial:
     """Count and check every tree of the blocks at ``starts``, in stream
-    order, into one partial, with its rows as one CSV text if ``rows``."""
+    order, into one partial, with its rows as one CSV text if ``rows``.
+    Each block's rests are the run its order's rest list gives, which in
+    stream order builds each rest's entry once per process."""
     part = _Partial(rows=[] if rows else None)
     for start in starts:
-        _fold_block(part, start)
+        _fold_run(part, start, *_tables(len(start)).rests.run(start))
     if rows:
         part.rows = "".join(part.rows)
     return part

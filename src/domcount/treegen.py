@@ -19,12 +19,15 @@ floor is fixed and the rest only decreases, so a block's trees are
 exactly its rests from the first, S repeated (see the walk below), down
 to the floor.
 
-``generate_trees`` runs two steps.  ``block_starts`` visits each block
-once: it yields the block's first sequence and jumps to its last, where
-the rest is all leaves under the root; the successor moves on from
-there.  A ``RestList`` per rest size then gives each block's rests as one
-run of a list (see "Rest lists" below).  The exhaustive sweep runs the
-first step in its parent process and the second in its workers.
+``generate_trees`` is ``block_starts`` and one ``RestList`` for the
+order.  ``block_starts`` visits each block once: it yields the block's
+first sequence and jumps to its last, where the rest is all leaves under
+the root; the successor moves on from there.  ``RestList.run(start)``
+then finds the block's first subtree and gives the block's rests as one
+run of the list for their size (see "Rest lists" below).  The exhaustive
+sweep drives its blocks the same way: the walk runs in its parent
+process, and each worker keeps one ``RestList`` per order, whose items
+are the rests' sweep entries.
 
 A first subtree can be too big for its tree.  Let d be its depth (its
 levels start 1, 2, ..., d) and ``budget = n - d``.  Every floor starts
@@ -69,10 +72,12 @@ positions from m on: the last position p from m on deeper than 1, and its
 parent q, which lies between m and p because ``levels[m]`` is 1.  So it
 steps the rest alone: it is the successor of ``(0,) + rest`` as a rooted
 sequence of its own, which has no position below 1 to change, and
-``RestList`` runs it on the rest alone.  The rests
-of size r a successor chain visits are thus a run of one list, the
-canonical rooted sequences of r + 1 vertices in decreasing order, each
-without its root.  Two facts make every block one slice of that list:
+``RestList`` runs it on the rest alone.  The rests of size r a successor
+chain visits are thus a run of one list, the canonical rooted sequences
+of r + 1 vertices in decreasing order, each without its root.  A
+``RestList`` keeps one such list per rest size of its order, so the
+first subtree before every rest of a list ends at the same position.
+Two facts make every block one slice of its list:
 
 - A block's trees are one contiguous run of the list.  A rest's first
   child subtree runs from its first entry to its second 1.  If rest B is
@@ -100,11 +105,11 @@ without its root.  Two facts make every block one slice of that list:
   the old end and the new start lie above every later block's first rest,
   so no block reads them.
 
-The list is strictly decreasing, as the successor steps down.  So each
+Each list is strictly decreasing, as the successor steps down.  So each
 block costs two bisections, for its first rest and of its floor, and a
-successor walk only for rests not listed yet: the list's cost grows with
+successor walk only for rests not listed yet: the lists' cost grows with
 rests and blocks, not trees.  In stream order each rest is listed once,
-and the list holds no rest above the latest block's first rest.
+and a list holds no rest above the latest first rest of its size.
 
 Correctness is not taken on faith: the tests check the stream and the
 block slices against a generator without any skip and against the plain
@@ -122,6 +127,7 @@ star-like (flat) ones.
 from __future__ import annotations
 
 import bisect
+import collections
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import total_ordering
@@ -310,23 +316,27 @@ def _rooted_successor(levels: list[int], p: int, low: int) -> bool:
 
 
 class RestList:
-    """One order's rests of the tree of one size, in decreasing order: one
-    successor chain from the first rest of the latest block served, down
-    as far as that block needs (see "Rest lists" in the module docstring).
+    """One order's rests of the tree, in decreasing order per rest size:
+    ``rests[size]`` is one successor chain from the first rest of the
+    latest block of that size served, down as far as that block needs (see
+    "Rest lists" in the module docstring).
 
-    ``items[i]`` is ``item(rests[i])``, built when the rest is listed.
+    ``items[size][i]`` is ``item(rests[size][i], m)``, built when the rest
+    is listed, m the end of the first subtree before it.
     """
 
-    def __init__(self, item: Callable[[tuple[int, ...]], object]):
-        self.rests: list[tuple[int, ...]] = []
-        self.items: list = []
+    def __init__(self, item: Callable[[tuple[int, ...], int], object]):
+        self.rests: dict[int, list[tuple[int, ...]]] = collections.defaultdict(list)
+        self.items: dict[int, list] = collections.defaultdict(list)
         self._item = item
 
-    def run(self, start: tuple[int, ...], m: int) -> list:
-        """The items of the rests of the block at ``start``, in stream order,
-        m the end of its first subtree.  The list then starts at the block's
-        first rest."""
-        rests, items, item = self.rests, self.items, self._item
+    def run(self, start: tuple[int, ...]) -> tuple[int, list]:
+        """The end m of the first subtree of the block at ``start``, and the
+        items of the block's rests in stream order.  The list for their
+        size then starts at the block's first rest."""
+        m = _first_subtree_end(start)
+        size = len(start) - m
+        rests, items, item = self.rests[size], self.items[size], self._item
         top = start[m:]
         # In stream order no later block reads a rest above top.
         lo = bisect.bisect_left(rests, True, key=top.__ge__)
@@ -334,7 +344,7 @@ class RestList:
             del rests[:lo], items[:lo]
         else:
             rests[:] = [top]
-            items[:] = [item(top)]
+            items[:] = [item(top, m)]
         floor = tuple(_rest_floor(start, m))
         if rests[-1] >= floor:
             levels = list(rests[-1])
@@ -343,9 +353,9 @@ class RestList:
                 if rest < floor:
                     break
                 rests.append(rest)
-                items.append(item(rest))
+                items.append(item(rest, m))
         # The rests at least the floor are a prefix of the decreasing list.
-        return items[:bisect.bisect_left(rests, True, key=floor.__gt__)]
+        return m, items[:bisect.bisect_left(rests, True, key=floor.__gt__)]
 
 
 def generate_trees(n: int) -> Iterator[CanonicalCode]:
@@ -353,11 +363,11 @@ def generate_trees(n: int) -> Iterator[CanonicalCode]:
 
     The stream is deterministic and strictly increasing in code order.
     """
-    lists: dict[int, RestList] = {}
+    rests = RestList(lambda rest, m: rest)
     for start in block_starts(n):
-        m = _first_subtree_end(start)
+        m, run = rests.run(start)
         head = start[:m]
-        for rest in lists.setdefault(n - m, RestList(lambda rest: rest)).run(start, m):
+        for rest in run:
             yield CanonicalCode(head + rest)
 
 

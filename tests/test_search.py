@@ -284,9 +284,9 @@ def cached_rests(n):
     # tables cache holds: reading them hits the cache and evicts nothing.
     info = _tables.cache_info()
     assert info.currsize == 1
-    lists = _tables(n).lists
+    rests = _tables(n).rests
     assert _tables.cache_info().misses == info.misses, n
-    return [rest for rests in lists.values() for rest in rests.rests]
+    return [rest for chain in rests.rests.values() for rest in chain]
 
 
 def test_kernel_rows_match_forest_oracle():
@@ -374,9 +374,9 @@ def test_sweep_releases_the_subtree_memo(monkeypatch):
     def failing_check(gamma, count):
         if gamma == 4:
             order = orders.pop()
-            lists.extend(weakref.ref(rests) for rests in order.lists.values())
+            lists.append(weakref.ref(order.rests))
             filled.append((_subtree_record.cache_info().currsize, _tables.cache_info().currsize,
-                           rest_entries[0], sum(len(rests().items) for rests in lists),
+                           rest_entries[0], sum(map(len, order.rests.items.values())),
                            len(order.verdicts)))
             raise RuntimeError("check failed")
         return verify_mds_bound(gamma, count)
@@ -409,7 +409,7 @@ def test_kernel_matches_counters_on_random_trees():
             ind = count_max_independent_sets(forest)
             order = _tables(len(levels))
             m = _first_subtree_end(levels)
-            entry = _rest_entry(levels[m:], (order.names[0], *order.names[m:]), order.star)
+            entry = _rest_entry(levels[m:], m, order.names, order.star)
             part = _Partial(rows=[])
             _fold_run(part, levels, m, [entry])
             (row,) = _read_rows("".join(part.rows), {})
@@ -465,7 +465,7 @@ def test_lifted_root_pick_matches_the_merges(monkeypatch):
     rng = random.Random(26)
     previous = (0,)
     try:
-        assert kernel_picks((0,), 1, [_rest_entry((), (" 0",), None)]) == [(1, 1, 1, 1)]
+        assert kernel_picks((0,), 1, [_rest_entry((), 1, (" 0",), None)]) == [(1, 1, 1, 1)]
         for _ in range(3000):
             levels = canonical_code(random_tree(rng)).levels
             # The tree's own split, and the previous tree hung below its
@@ -474,7 +474,7 @@ def test_lifted_root_pick_matches_the_merges(monkeypatch):
             cross = (0, *(x + 1 for x in previous), *levels[1:])
             for start, m in ((levels, m), (cross, len(previous) + 1)):
                 order = _tables(len(start))
-                run = [_rest_entry(start[m:], (order.names[0], *order.names[m:]), None)]
+                run = [_rest_entry(start[m:], m, order.names, None)]
                 assert kernel_picks(start, m, run) == merged_picks(start, m, run), start
             previous = levels
     finally:

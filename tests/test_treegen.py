@@ -105,14 +105,14 @@ def test_every_block_is_one_run_of_its_rest_list():
     # order no rest is built twice: the list never drops a rest that a
     # later block reads.
     for n in range(1, 19):
-        made, lists, blocks = [], {}, []
+        made, blocks = [], []
+        rests = RestList(lambda rest, m: made.append(rest) or rest)
         for start in block_starts(n):
-            m = _first_subtree_end(start)
-            rests = lists.setdefault(n - m, RestList(lambda rest: made.append(rest) or rest))
+            m, run = rests.run(start)
             block = [levels[m:] for levels in block_trees(start)]
-            assert rests.run(start, m) == block, start
-            assert rests.rests[0] == start[m:], start
-            assert strictly_decreasing(rests.rests), start
+            assert run == block, start
+            assert rests.rests[n - m][0] == start[m:], start
+            assert strictly_decreasing(rests.rests[n - m]), start
             blocks.append((n - m, block))
         assert len(made) == len(set(made)), n
         every = {}
@@ -136,14 +136,14 @@ def test_rest_lists_serve_any_share_of_the_blocks():
         starts = list(block_starts(n))
         picked = sorted(rng.sample(range(len(starts)), len(starts) // 3))
         for share, in_order in (([starts[i] for i in picked], True), (starts[::-1], False)):
-            made, lists = [], {}
+            made = []
+            rests = RestList(lambda rest, m: made.append(rest) or rest)
             for start in share:
-                m = _first_subtree_end(start)
-                rests = lists.setdefault(n - m, RestList(lambda rest: made.append(rest) or rest))
-                assert rests.run(start, m) == [levels[m:] for levels in block_trees(start)], start
-                assert rests.items == rests.rests
-                assert rests.rests[0] == start[m:], start
-                assert strictly_decreasing(rests.rests), start
+                m, run = rests.run(start)
+                assert run == [levels[m:] for levels in block_trees(start)], start
+                assert rests.items[n - m] == rests.rests[n - m]
+                assert rests.rests[n - m][0] == start[m:], start
+                assert strictly_decreasing(rests.rests[n - m]), start
             if in_order:
                 assert len(made) == len(set(made))
 
