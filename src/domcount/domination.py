@@ -40,14 +40,16 @@ dominating set) and set families (``_SetFamily``, vertex bitmasks whose
 in every way; both enumerators).  The merges only compare sizes and add
 or multiply counts, so lifting them this way gives exactly the sets
 that the counts count.  An infeasible state keeps the int count 0,
-which the merges never read.
+which the merges never read.  The enumerators turn each mask into a
+frozenset word by word: every 16-bit word value maps to the vertices it
+holds through a table filled on first use, so on forests of at most 16
+vertices equal sets are one shared object (see ``_enumerate_sets``).
 
 Counts are exact arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -229,11 +231,24 @@ class _SetFamily:
 EMPTY_SET = _SetFamily([0])
 
 
-@functools.cache
-def _byte_sets(j: int) -> tuple[frozenset[int], ...]:
-    """Byte j of a big-endian set mask, by value, as vertices 8j..8j+7."""
-    return tuple(frozenset(dict.fromkeys(8 * j + i for i in range(8) if x >> (7 - i) & 1))
-                 for x in range(256))
+class _WordSets(dict):
+    """Word j of a set mask, by value x, as the frozenset of vertices
+    16j + i whose bit 15 - i is set in x; an entry is built the first time
+    its word is looked up."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, j: int):
+        super().__init__()
+        self.base = 16 * j
+
+    def __missing__(self, x: int) -> frozenset[int]:
+        vertices = self[x] = frozenset(dict.fromkeys(self.base + i for i in range(16) if x >> (15 - i) & 1))
+        return vertices
+
+
+# Word j's table under key j, made the first time a set reaches word j.
+_WORD_SETS: dict[int, _WordSets] = {}
 
 
 def _enumerate_sets(forest: Forest, leaves, merge, pick, limit: int | None) -> list[frozenset[int]]:
@@ -243,25 +258,38 @@ def _enumerate_sets(forest: Forest, leaves, merge, pick, limit: int | None) -> l
     ``merge`` and ``pick`` are a counter's; ``leaves(singles)`` gives the
     leaf records of a component's vertices with ``singles``, the family of
     each vertex alone, in place of their counts.  Vertex v is bit
-    ``top - v``; ``top + 1`` is the order rounded up to whole bytes, so
-    each byte of a mask is looked up as a presized frozenset and the set
-    is their union.  Every set has the same size, and among sets of one
-    size the order of sorted vertex lists is the decreasing order of
-    these masks.  A negative ``limit`` is rejected, and so is a forest
-    above the oracle order cap, since output size can grow exponentially.
+    ``top - v``; ``top + 1`` is the order rounded up to whole 16-bit
+    words.  Every set has the same size, and among sets of one size the
+    order of sorted vertex lists is the decreasing order of these masks.
+
+    Each word of a mask is looked up in that word's table, which builds
+    an entry the first time its word value occurs, and a set is the union
+    of its words' entries.  So on a forest of at most 16 vertices a listed
+    set is its table entry, one object shared by every call that lists an
+    equal set.  The tables start empty and hold at most 2^16 entries per
+    word, only for words that occur in listed sets: about 12,600 entries
+    (7 MiB) after every tree of order 15.  Two threads may build the same
+    entry at once; both build equal frozensets, so either may be kept.
+
+    A negative ``limit`` is rejected, and so is a forest above the oracle
+    order cap, since output size can grow exponentially.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     guard = oracle_max_order()
     if forest.n > guard:
         raise ValueError(f"enumeration capped at order {guard}, got {forest.n}")
-    width = max(1, (forest.n + 7) // 8)
-    top = 8 * width - 1
+    width = max(1, (forest.n + 15) // 16)
+    top = 16 * width - 1
     family = _fold_forest(forest, lambda order: leaves([_SetFamily([1 << (top - v)]) for v in order]),
                           merge, pick, EMPTY_SET)[1]
-    pieces = [_byte_sets(j) for j in range(width)]
-    return [functools.reduce(operator.or_, map(operator.getitem, pieces, m.to_bytes(width, "big")))
-            for m in sorted(family.masks, reverse=True)[:limit]]
+    masks = sorted(family.masks, reverse=True)[:limit]
+    for j in range(width):
+        shift = top - 15 - 16 * j
+        words = _WORD_SETS.setdefault(j, _WordSets(j))
+        pieces = [words[m >> shift & 0xFFFF] for m in masks]
+        sets = list(map(operator.or_, sets, pieces)) if j else pieces
+    return sets
 
 
 def enumerate_min_dominating_sets(forest: Forest, limit: int | None = None) -> list[frozenset[int]]:

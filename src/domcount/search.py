@@ -82,7 +82,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import multiprocessing
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -556,7 +555,8 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
     executor = None
     try:
         if jobs > 1:
-            # Imported here, as it adds 10-15 ms to importing the package.
+            # Imported here, as they add 15-25 ms to importing the package.
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
             executor = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context(method))
