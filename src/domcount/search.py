@@ -555,7 +555,7 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
     executor = None
     try:
         if jobs > 1:
-            # Imported here, as they add 15-25 ms to importing the package.
+            # Imported here, as together they add 14-23 ms to importing the package.
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
