@@ -40,14 +40,18 @@ def trees(max_order):
     return (code.decode() for n in range(1, max_order + 1) for code in generate_trees(n))
 
 
+def assert_matches_recursion(forest):
+    for enumerate_sets, recursive, _ in PAIRS:
+        expected = recursive(forest)
+        assert enumerate_sets(forest) == expected
+        # The recursion's limit is a plain truncation of its full list.
+        for limit in limits(len(expected)):
+            assert enumerate_sets(forest, limit=limit) == expected[:limit]
+
+
 def test_every_tree_matches_the_recursion():
     for forest in trees(13):
-        for enumerate_sets, recursive, _ in PAIRS:
-            expected = recursive(forest)
-            assert enumerate_sets(forest) == expected
-            # The recursion's limit is a plain truncation of its full list.
-            for limit in limits(len(expected)):
-                assert enumerate_sets(forest, limit=limit) == expected[:limit]
+        assert_matches_recursion(forest)
 
 
 def boundary_trees(n):
@@ -64,11 +68,7 @@ def test_trees_at_word_boundaries_match_the_recursion(n, monkeypatch):
     # and two words exactly, and 17 and 33 spill one vertex into the next.
     monkeypatch.setenv("DOMCOUNT_MAX_ORDER", "40")
     for forest in boundary_trees(n):
-        for enumerate_sets, recursive, _ in PAIRS:
-            expected = recursive(forest)
-            assert enumerate_sets(forest) == expected
-            for limit in limits(len(expected)):
-                assert enumerate_sets(forest, limit=limit) == expected[:limit]
+        assert_matches_recursion(forest)
 
 
 def test_equal_sets_of_small_forests_are_one_object():
