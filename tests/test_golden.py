@@ -9,7 +9,8 @@ rows through one path; the forest command digests from the build before
 every fold combined its components through one driver; the 1..16 search
 digests from the build before each worker folded its own tasks; the
 order-17 digests from the build before blocks became slices of rest
-lists.  Any
+lists; the order 18, 19 and 20 digests from the build before each rest
+entry read its order's names and star from the order's tables.  Any
 change to counts, record witnesses, tie-breaks, CSV rows, report text,
 stderr or exit codes shows up here as a digest mismatch.
 """
@@ -67,6 +68,44 @@ def test_search_output_is_unchanged(capsys, argv, jobs):
     code = main(["search", *argv, "--jobs", jobs])
     captured = capsys.readouterr()
     assert (sha256(captured.out), sha256(captured.err), code) == SEARCH_GOLDEN[argv]
+
+
+# Orders 18, 19 and 20 alone, the same with 1 and 2 jobs: 123,867, 317,955
+# and 823,065 trees, whose rows take 9, 25 and 66 MiB.
+HIGH_ORDER_GOLDEN = {
+    18: ("6b10ce325bf1057d7381fb4e4ca6e5d7899028b1d2c110647c2676f633dfacff",
+         "20976bc522d95f1936e0425218921e9cca9d0f449cae692cd0d5862a14473b8f", 0),
+    19: ("13ccbb7ff637d46fe3330a1a56e9148b040fb77dc0f4d40677df18fe2147285e",
+         "a771b391a1e82bbd90d8ae8d53c7e847669054dfe65ea1761d14c93219f9509e", 0),
+    20: ("827cd6378f1375cde3351fced5abbdbf4cd92d6e4e70bdb29cb458d09740c566",
+         "e45c1b78dfc83897841607f33485dff1b1a2e7e0046632f0d0b9fd0a5acf67d9", 0),
+}
+
+
+class HashingStream:
+    """A text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("order", list(HIGH_ORDER_GOLDEN))
+def test_high_order_search_output_is_unchanged(monkeypatch, order, jobs):
+    out, err = HashingStream(), HashingStream()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    code = main(["search", "--min-order", str(order), "--max-order", str(order),
+                 "--emit-all", "--format", "csv", "--jobs", jobs])
+    monkeypatch.undo()
+    assert (out.hash.hexdigest(), err.hash.hexdigest(), code) == HIGH_ORDER_GOLDEN[order]
 
 
 def enumeration_digest(max_order):
