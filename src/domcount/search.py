@@ -151,18 +151,12 @@ def compute_growth_base(width) -> GrowthBaseBracket:
 
 
 def verify_mds_bound(gamma: int, count: int) -> bool:
-    """count <= 2.4606^gamma, checked exactly over the integers."""
+    """count <= 2.4606^gamma, checked exactly over the integers as
+    count * 10000^gamma <= 24606^gamma.  The sweep calls it once per
+    verdict key, not per tree (``_verdict``)."""
     if gamma < 1:
         raise ValueError(f"gamma must be at least 1, got {gamma}")
-    scale, bound = _mds_bound_powers(gamma)
-    return count * scale <= bound
-
-
-@functools.lru_cache(maxsize=64)
-def _mds_bound_powers(gamma: int) -> tuple[int, int]:
-    """10000^gamma and 24606^gamma; the sweep checks every tree of a few
-    gammas."""
-    return _BOUND_DENOMINATOR**gamma, _BOUND_NUMERATOR**gamma
+    return count * _BOUND_DENOMINATOR**gamma <= _BOUND_NUMERATOR**gamma
 
 
 @dataclass(frozen=True)
@@ -330,24 +324,24 @@ def _tables(n: int) -> _Order:
     """Order n's vertex names, its rest list (items are ``_rest_entry``),
     its verdicts by (gamma, MDS count, alpha, MIS count, star flag)
     (``_verdict``) and its subdivided star's rest."""
-    names = tuple(" " + str(i) for i in range(n))
     star = None
     if n % 2 == 0:
         # is_subdivided_star on canonical levels: at order 2k+2 the only
         # accepted code is (0,) + (1, 2)*k + (1,), whose first subtree
         # (1, 2) ends at position 3; at order 2 the rest is empty.
         star = ((0,) + (1, 2) * ((n - 2) // 2) + (1,))[3:]
-    return _Order(names, RestList(functools.partial(_rest_entry, names=names, star=star)), {}, star)
+    return _Order(tuple(" " + str(i) for i in range(n)), RestList(_rest_entry), {}, star)
 
 
-def _rest_entry(rest: tuple[int, ...], m: int, names: tuple[str, ...], star: tuple[int, ...] | None) -> tuple:
+def _rest_entry(rest: tuple[int, ...], m: int) -> tuple:
     """The root's (MDS, MIS) records over the children in ``rest``, the
     code string's parents of the rest, and its star flag: whether it is
-    ``star``, the order's subdivided star's rest.  The rest follows a first
-    subtree that ends at position m, and ``names`` names the tree's
-    positions, each after a space."""
+    the order's subdivided star's rest.  The rest follows a first subtree
+    that ends at position m, so its tree has order m + len(rest), whose
+    ``_tables`` give the positions' names and the star's rest."""
     sub = (0, *rest)
     mds, mis = _records(sub)
+    names, _, _, star = _tables(m + len(rest))
     # Position j of sub is the root for j = 0, else position m + j - 1.
     return mds, mis, "".join(_parent_names(sub, (names[0], *names[m:]))), rest == star
 
@@ -626,13 +620,11 @@ def report_text(report: SearchReport) -> str:
         f"orders: {report.min_order}..{report.max_order}",
         f"trees processed: {report.trees_processed}",
         "checks: mds-bound, mis-bound, order-bound, diagnostics",
-        f"mds bound violations: {len(report.mds_bound_violations)}",
     ]
-    lines.extend(f"  {code} {detail}" for code, detail in report.mds_bound_violations)
-    lines.append(f"mis bound violations: {len(report.mis_bound_violations)}")
-    lines.extend(f"  {code} {detail}" for code, detail in report.mis_bound_violations)
-    lines.append(f"order bound violations: {len(report.order_bound_violations)}")
-    lines.extend(f"  {code} {detail}" for code, detail in report.order_bound_violations)
+    for label, violations in (("mds", report.mds_bound_violations), ("mis", report.mis_bound_violations),
+                              ("order", report.order_bound_violations)):
+        lines.append(f"{label} bound violations: {len(violations)}")
+        lines.extend(f"  {code} {detail}" for code, detail in violations)
     lines.append("per-gamma records:")
     for gamma, record in report.gamma_records.items():
         suffix = ""

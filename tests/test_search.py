@@ -407,9 +407,8 @@ def test_kernel_matches_counters_on_random_trees():
             levels = canonical_code(forest).levels
             dom = count_min_dominating_sets(forest)
             ind = count_max_independent_sets(forest)
-            order = _tables(len(levels))
             m = _first_subtree_end(levels)
-            entry = _rest_entry(levels[m:], m, order.names, order.star)
+            entry = _rest_entry(levels[m:], m)
             part = _Partial(rows=[])
             _fold_run(part, levels, m, [entry])
             (row,) = _read_rows("".join(part.rows), {})
@@ -465,7 +464,7 @@ def test_lifted_root_pick_matches_the_merges(monkeypatch):
     rng = random.Random(26)
     previous = (0,)
     try:
-        assert kernel_picks((0,), 1, [_rest_entry((), 1, (" 0",), None)]) == [(1, 1, 1, 1)]
+        assert kernel_picks((0,), 1, [_rest_entry((), 1)]) == [(1, 1, 1, 1)]
         for _ in range(3000):
             levels = canonical_code(random_tree(rng)).levels
             # The tree's own split, and the previous tree hung below its
@@ -473,8 +472,7 @@ def test_lifted_root_pick_matches_the_merges(monkeypatch):
             m = _first_subtree_end(levels)
             cross = (0, *(x + 1 for x in previous), *levels[1:])
             for start, m in ((levels, m), (cross, len(previous) + 1)):
-                order = _tables(len(start))
-                run = [_rest_entry(start[m:], m, order.names, None)]
+                run = [_rest_entry(start[m:], m)]
                 assert kernel_picks(start, m, run) == merged_picks(start, m, run), start
             previous = levels
     finally:
