@@ -15,7 +15,7 @@ from .domination import brute_force_domination, count_min_dominating_sets, enume
 from .family import balanced_partition, build_family_tree, closed_form_count, family_tree_text, optimize_k, trend_row
 from .forest import parse_forest
 from .independence import brute_force_independence, count_max_independent_sets, enumerate_max_independent_sets
-from .limits import oracle_max_order
+from .limits import FAMILY_MAX_GAMMA, oracle_max_order
 from .search import CSV_HEADER, report_text, search_extremal
 from .treegen import generate_trees
 
@@ -81,10 +81,17 @@ def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
+def _check_family_gamma(gamma: int) -> None:
+    if gamma > FAMILY_MAX_GAMMA:
+        raise ValueError(f"gamma {gamma} exceeds the family limit {FAMILY_MAX_GAMMA}")
+
+
 def _cmd_family(args) -> int:
     if args.p is not None:
         parts = _parse_ints("--p", args.p)
+        _check_family_gamma(sum(parts) + 1)
     elif args.gamma is not None and args.k is not None:
+        _check_family_gamma(args.gamma)
         parts = balanced_partition(args.gamma, args.k)
     else:
         raise ValueError("family needs either --p or both --gamma and --k")
@@ -110,6 +117,8 @@ def _cmd_family(args) -> int:
 
 def _cmd_optimize_family(args) -> int:
     gammas = _parse_ints("--gamma", args.gamma)
+    for g in gammas:
+        _check_family_gamma(g)
     rows = [optimize_k(g) for g in gammas]
     if args.format == "csv":
         header = "gamma,best_k,formula_value,formula_sci,table_value,table_sci"

@@ -186,11 +186,19 @@ class CanonicalCode:
             raise ValueError(f"canonical code order must be at least 1, got {n}")
         if len(parents) != n - 1:
             raise ValueError(f"expected {n - 1} parent entries, got {len(parents)}")
-        levels = [0]
+        # In preorder a vertex's parent is the previous vertex or one of its
+        # ancestors, which ``path`` holds by level.
+        levels, path = [0], [0]
         for child, p in enumerate(parents, start=1):
             if not 0 <= p < child:
                 raise ValueError(f"parent index {p} of vertex {child} out of range")
-            levels.append(levels[p] + 1)
+            level = levels[p] + 1
+            if path[level - 1:level] != [p]:
+                raise ValueError(f"parent {p} of vertex {child} is neither vertex {child - 1} "
+                                 "nor one of its ancestors: not in preorder")
+            del path[level:]
+            path.append(child)
+            levels.append(level)
         return cls(tuple(levels))
 
     def decode(self) -> Forest:

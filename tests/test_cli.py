@@ -1,10 +1,12 @@
 import multiprocessing
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from domcount import cli
 from domcount.cli import main, sci4
 from domcount.family import closed_form_count
 from domcount.limits import oracle_max_order
@@ -128,6 +130,38 @@ def test_family_gamma_below_two(capsys, gamma):
     code, out, err = run(capsys, "family", "--gamma", gamma, "--k", "1")
     assert (code, out) == (2, "")
     assert err == f"error: gamma must be at least 2, got {gamma}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "--gamma", "99999999999999999999", "--k", "1"),
+    ("family", "--p", "99999999999"),
+    ("family", "--gamma", "100000000", "--k", "99999999"),
+    ("optimize-family", "--gamma", "99999999999"),
+])
+def test_family_commands_refuse_a_huge_gamma_at_once(capsys, argv):
+    # Each of these once built lists or a tree linear in gamma before
+    # failing with a MemoryError, or ran for minutes.
+    began = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - began < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: gamma ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "--gamma", "{}", "--k", "3"),
+    ("family", "--p", "{}"),
+    ("optimize-family", "--gamma", "{}"),
+])
+def test_family_gamma_limit_is_inclusive(capsys, monkeypatch, argv):
+    # --p gives gamma as the sum of its parts plus one.
+    monkeypatch.setattr(cli, "FAMILY_MAX_GAMMA", 12)
+    for gamma, expected in ((12, 0), (13, 2)):
+        value = str(gamma) if argv[1] == "--gamma" else f"5,{gamma - 6}"
+        code, out, err = run(capsys, *(a.format(value) for a in argv))
+        assert code == expected, gamma
+        if expected:
+            assert (out, err) == ("", f"error: gamma {gamma} exceeds the family limit 12\n")
 
 
 def test_optimize_family_text(capsys):

@@ -410,6 +410,10 @@ def test_code_string_rejects_garbage():
     ("c two", "entries must be integers"),
     ("c 3 0", "expected 2 parent entries, got 1"),
     ("c 3 0 2", "parent index 2 of vertex 2 out of range"),
+    # Parent lists out of preorder: the first once read back as another
+    # tree, the second as levels that decode rejects.
+    ("c 4 0 0 1", "parent 1 of vertex 3 is neither vertex 2 nor one of its ancestors"),
+    ("c 5 0 1 0 2", "parent 2 of vertex 4 is neither vertex 3 nor one of its ancestors"),
 ])
 def test_code_string_errors_name_the_fault(text, message):
     with pytest.raises(ValueError, match=message):
