@@ -95,6 +95,9 @@ def test_mds_bound_examples():
     edge = 24606**4 // 10000**4
     assert verify_mds_bound(4, edge)
     assert not verify_mds_bound(4, edge + 1)
+    # No integer count meets 2.4606^gamma exactly; a rational one pins
+    # that the bound itself passes.
+    assert verify_mds_bound(3, Fraction(24606, 10000) ** 3)
     with pytest.raises(ValueError):
         verify_mds_bound(0, 1)
 
