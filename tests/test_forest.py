@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from domcount.forest import (
     star,
 )
 from domcount.independence import enumerate_max_independent_sets
-from domcount.treegen import generate_trees
+from domcount.treegen import CanonicalCode, generate_trees
 
 
 def test_parse_single_edge():
@@ -230,6 +231,45 @@ def test_counting_roots_nothing(tstar):
     for forest in [parsed, union, *decoded]:
         for members in forest.components:
             assert root_at(forest, members[0]) is forest.rooted[members[0]]
+
+
+PINNED_FORESTS = [
+    (lambda: parse_forest("n 4\n0 1"),
+     "Forest(n=4, edges=[(0, 1)], adj=[[1], [0], [], []], components=[[0, 1], [2], [3]])"),
+    (lambda: parse_forest("n 6\n5 3\n1 3\n0 2\n"),
+     "Forest(n=6, edges=[(0, 2), (1, 3), (3, 5)], adj=[[2], [3], [0], [1, 5], [], [3]], "
+     "components=[[0, 2], [1, 3, 5], [4]])"),
+    (lambda: disjoint_union(path(3), build_forest(1, []), star(2)),
+     "Forest(n=7, edges=[(0, 1), (1, 2), (4, 5), (4, 6)], adj=[[1], [0, 2], [1], [], [5, 6], [4], [4]], "
+     "components=[[0, 1, 2], [3], [4, 5, 6]])"),
+    (lambda: CanonicalCode((0, 1, 2, 1, 2)).decode(),
+     "Forest(n=5, edges=[(0, 1), (0, 3), (1, 2), (3, 4)], adj=[[1, 3], [0, 2], [1], [0, 4], [3]], "
+     "components=[[0, 1, 2, 3, 4]])"),
+    (lambda: build_forest(0, []), "Forest(n=0, edges=[], adj=[], components=[])"),
+]
+
+
+@pytest.mark.parametrize("make, text", PINNED_FORESTS, ids=["isolated", "interleaved", "union", "decoded", "empty"])
+def test_forest_repr_and_pickle_round_trip(make, text):
+    forest = make()
+    copy = pickle.loads(pickle.dumps(make()))
+    assert repr(copy) == repr(forest) == text
+    assert copy == forest
+    assert copy.rooted == forest.rooted
+    with pytest.raises(TypeError):
+        hash(forest)
+
+
+def test_forest_equality_ignores_the_rooting():
+    # The decoded tree keeps its preorder as its rooting, the built one its
+    # breadth-first search; the forests are still equal.
+    decoded = CanonicalCode((0, 1, 2, 1, 2)).decode()
+    built = build_forest(5, [(3, 4), (1, 2), (0, 3), (0, 1)])
+    assert decoded.rooted[0].order != built.rooted[0].order
+    assert decoded == built
+    assert decoded != path(5)
+    assert decoded != build_forest(6, built.edges)
+    assert decoded != (decoded.n, decoded.edges, decoded.adj, decoded.components)
 
 
 def test_disjoint_union_offsets(tstar):

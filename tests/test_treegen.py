@@ -22,7 +22,9 @@ from oracles import (
     stepwise_block_starts,
 )
 from strategies import labeled_trees, random_tree, relabeled
+from domcount.domination import count_min_dominating_sets, enumerate_min_dominating_sets
 from domcount.forest import build_forest, disjoint_union, path, root_at, spider, star
+from domcount.independence import count_max_independent_sets, enumerate_max_independent_sets
 from domcount.treegen import (
     CanonicalCode,
     RestList,
@@ -218,10 +220,19 @@ def forest_fields(forest):
 
 
 def test_decode_equals_build_forest():
+    # Compared both before and after the decoded tree is counted and its
+    # sets are listed.
     for n in range(1, 15):
         for code in generate_trees(n):
             edges = [(p, child) for child, p in enumerate(code.parents(), start=1)]
-            assert forest_fields(code.decode()) == forest_fields(build_forest(n, edges))
+            built = forest_fields(build_forest(n, edges))
+            assert forest_fields(code.decode()) == built
+            counted = code.decode()
+            count_min_dominating_sets(counted)
+            count_max_independent_sets(counted)
+            enumerate_min_dominating_sets(counted)
+            enumerate_max_independent_sets(counted)
+            assert forest_fields(counted) == built
 
 
 @pytest.mark.parametrize("levels, message", [
