@@ -1,4 +1,4 @@
-"""Forests as plain adjacency-list structures, plus text I/O and rooting.
+"""Forests as components with one stored rooting each, plus text I/O.
 
 Vertices are dense 0-based integers.  Isolated vertices are legal and form
 their own components, which is why the text format declares the vertex
@@ -12,27 +12,81 @@ its breadth-first component search, and a decoded canonical code records
 its preorder.  ``root_at`` hands out the stored rooting and searches only
 for other roots.
 
-All structures are built once and never mutated afterwards, so they are
-safe to share across threads.
+A forest's edge list and adjacency lists are views derived from its
+rootings.  ``build_forest`` has both already and passes them in; a
+decoded tree, which the counters read only through its rooting, builds
+them the first time they are read.  No list is mutated once it is kept,
+so forests are safe to share across threads: two threads that read a view
+for the first time at once may each build it, into equal lists, and
+either one is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .limits import FOREST_MAX_ORDER
 
 
 class ForestError(ValueError):
     """Malformed input: bad file format, bad vertex ids, or a cycle."""
 
 
-@dataclass
 class Forest:
-    n: int
-    edges: list[tuple[int, int]]
-    adj: list[list[int]]
-    components: list[list[int]]
-    # One rooting per component, keyed by its smallest vertex.
-    rooted: dict[int, RootedTree] = field(default_factory=dict, compare=False, repr=False)
+    """``n`` vertices, their ``components`` (each a sorted vertex list, in
+    order of smallest vertex) and one rooting per component in ``rooted``,
+    keyed by its smallest vertex.
+
+    ``edges``, the sorted (min, max) edge list, and ``adj``, each vertex's
+    sorted neighbours, are read-only.  When not passed in, each is built
+    on first read and then kept: the edges from the rootings, the
+    adjacency from the edges (see ``_adjacency``).  A forest without edges
+    needs a rooting for every component.  Two forests are equal when
+    ``(n, edges, adj, components)`` are, whatever their rootings.
+    """
+
+    __hash__ = None  # compared by value, over lists
+
+    def __init__(self, n: int, edges: list[tuple[int, int]] | None = None,
+                 adj: list[list[int]] | None = None, *, components: list[list[int]],
+                 rooted: dict[int, RootedTree] | None = None):
+        self.n = n
+        self.components = components
+        self.rooted = {} if rooted is None else rooted
+        if edges is None and len(self.rooted) != len(components):
+            raise ValueError("a forest without edges needs one rooting per component")
+        self._edges = edges
+        self._adj = adj
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        edges = self._edges
+        if edges is None:
+            edges = []
+            for tree in self.rooted.values():
+                order = tree.order
+                for v, i in zip(order[1:], tree.parent[1:]):
+                    u = order[i]
+                    edges.append((u, v) if u < v else (v, u))
+            edges.sort()
+            self._edges = edges
+        return edges
+
+    @property
+    def adj(self) -> list[list[int]]:
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = _adjacency(self.n, self.edges)
+        return adj
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.edges, self.adj, self.components)
+                == (other.n, other.edges, other.adj, other.components))
+
+    def __repr__(self) -> str:
+        return f"Forest(n={self.n!r}, edges={self.edges!r}, adj={self.adj!r}, components={self.components!r})"
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -42,16 +96,25 @@ class Forest:
         return len(self.components)
 
 
+def _adjacency(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    """Adjacency lists of a sorted list of (min, max) edges.  Every vertex
+    first receives its lower neighbours in increasing order, then its
+    higher ones, so each list comes out sorted without a per-vertex sort."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def build_forest(n: int, edges) -> Forest:
     """Validate an edge list and assemble a Forest.
 
     Each edge is stored as (min, max) and the list is sorted once, so a
     duplicate edge shows up as two equal neighbours.  Adjacency is built
-    from the sorted list: every vertex first receives its lower neighbours
-    in increasing order, then its higher ones, so each list comes out
-    sorted without a per-vertex sort.  The breadth-first search that finds
-    each component starts at its smallest vertex and is kept as that
-    component's rooting.
+    from the sorted list in the same pass, sorted as in ``_adjacency``.
+    The breadth-first search that finds each component starts at its
+    smallest vertex and is kept as that component's rooting.
 
     Raises ForestError on self-loops, duplicate or out-of-range edges, and
     on any cycle.
@@ -95,7 +158,8 @@ def parse_forest(text: str) -> Forest:
     """Parse the line-oriented forest format.
 
     Lines starting with '#' are comments.  The first significant line must
-    be ``n <count>``; every following significant line is an edge ``u v``.
+    be ``n <count>``, with a count of at most ``FOREST_MAX_ORDER``; every
+    following significant line is an edge ``u v``.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -113,6 +177,8 @@ def parse_forest(text: str) -> Forest:
                 raise ForestError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
             if n < 0:
                 raise ForestError(f"line {lineno}: vertex count must be nonnegative")
+            if n > FOREST_MAX_ORDER:
+                raise ForestError(f"line {lineno}: vertex count {n} exceeds the forest limit {FOREST_MAX_ORDER}")
             continue
         if len(tokens) != 2:
             raise ForestError(f"line {lineno}: expected edge 'u v', got {line!r}")

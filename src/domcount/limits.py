@@ -9,6 +9,12 @@ The family commands build lists, and a tree, that grow linearly in gamma,
 so the CLI refuses a gamma above ``FAMILY_MAX_GAMMA`` before building any
 of them.  That limit is fixed: at gamma 300,000 ``family`` took 2 to 7 s,
 by k, and about 330 MiB on a 2-core machine under Python 3.11.
+
+A forest file declares its vertex count before its edges, and parsing
+allocates a list per vertex, so ``parse_forest`` refuses a count above
+``FOREST_MAX_ORDER`` before allocating anything.  That limit is fixed
+too, and holds the largest family tree, 3 * FAMILY_MAX_GAMMA - 2
+vertices.
 """
 
 import os
@@ -16,6 +22,7 @@ import os
 DEFAULT_ORACLE_MAX_ORDER = 25
 DEFAULT_SEARCH_MAX_ORDER = 20
 FAMILY_MAX_GAMMA = 300_000
+FOREST_MAX_ORDER = 1_000_000
 
 _ENV_VAR = "DOMCOUNT_MAX_ORDER"
 

@@ -204,22 +204,14 @@ class CanonicalCode:
     def decode(self) -> Forest:
         """Rebuild the tree, labeled 0..n-1 in canonical preorder.
 
-        Every parent precedes its child and children are appended in
-        increasing order, so each adjacency list comes out sorted, as
-        ``build_forest`` would leave it.  The preorder itself is kept as
-        the tree's rooting at vertex 0.  Levels that are not a tree's
-        raise ``ValueError`` (see ``parents``).
+        The preorder is kept as the tree's rooting at vertex 0, and that
+        is all a decoded tree holds: its edge and adjacency lists are
+        built from it on first read (see ``Forest``).  Levels that are not
+        a tree's raise ``ValueError`` (see ``parents``).
         """
-        n = self.n
-        parents = self.parents()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for child, p in enumerate(parents, start=1):
-            adj[p].append(child)
-            adj[child].append(p)
-        vertices = list(range(n))
-        return Forest(n=n, edges=sorted(zip(parents, range(1, n))), adj=adj,
-                      components=[vertices],
-                      rooted={0: RootedTree(order=vertices, parent=[-1, *parents])})
+        vertices = list(range(self.n))
+        return Forest(n=self.n, components=[vertices],
+                      rooted={0: RootedTree(order=vertices, parent=[-1, *self.parents()])})
 
 
 def _parent_names(levels, names) -> list:

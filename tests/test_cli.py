@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -123,6 +124,22 @@ def test_family_requires_parameters(capsys):
     code, _, err = run(capsys, "family", "--gamma", "10")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_a_huge_vertex_count_is_refused_before_allocating(tmp_path, command):
+    # Under a 1 GiB address-space limit, allocating a list per declared
+    # vertex ends in a MemoryError traceback instead of taking the
+    # machine's memory.
+    forest_file = tmp_path / "huge.forest"
+    forest_file.write_text("n 10000000000\n0 1\n")
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from domcount.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code, command, "--input", str(forest_file)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: line 1: vertex count 10000000000 exceeds the forest limit 1000000\n"
 
 
 @pytest.mark.parametrize("gamma", ["0", "1"])

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import bfs_rooting, child_positions, mds_table, mis_table, pendant_two_paths
-from strategies import forests, relabeled
-from domcount.domination import enumerate_min_dominating_sets
+from strategies import forests, relabeled, shuffled_forests
+from domcount.domination import count_min_dominating_sets, enumerate_min_dominating_sets
 from domcount.family import build_family_tree
 from domcount.forest import (
+    Forest,
     ForestError,
     build_forest,
     classify_vertices,
@@ -21,7 +22,8 @@ from domcount.forest import (
     spider,
     star,
 )
-from domcount.independence import enumerate_max_independent_sets
+from domcount.independence import count_max_independent_sets, enumerate_max_independent_sets
+from domcount.limits import FAMILY_MAX_GAMMA, FOREST_MAX_ORDER
 from domcount.treegen import CanonicalCode, generate_trees
 
 
@@ -258,6 +260,53 @@ def test_forest_repr_and_pickle_round_trip(make, text):
     assert copy.rooted == forest.rooted
     with pytest.raises(TypeError):
         hash(forest)
+
+
+@pytest.mark.parametrize("make, text", PINNED_FORESTS, ids=["isolated", "interleaved", "union", "decoded", "empty"])
+def test_views_derived_from_pinned_rootings(make, text):
+    forest = make()
+    assert repr(Forest(forest.n, components=forest.components, rooted=forest.rooted)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_forests())
+def test_views_derived_from_rootings_equal_the_built_ones(forest):
+    derived = Forest(forest.n, components=forest.components, rooted=forest.rooted)
+    assert (derived.edges, derived.adj) == (forest.edges, forest.adj)
+    given_edges = Forest(forest.n, forest.edges, components=forest.components, rooted=forest.rooted)
+    assert given_edges.adj == forest.adj
+
+
+def test_a_forest_without_edges_needs_every_rooting():
+    forest = parse_forest("n 4\n0 1")
+    with pytest.raises(ValueError, match="one rooting per component"):
+        Forest(4, components=forest.components, rooted={0: forest.rooted[0]})
+
+
+def test_counting_a_decoded_tree_builds_no_views():
+    # Counters, enumerators and the stored rooting read only ``rooted``.
+    for code in generate_trees(10):
+        tree = code.decode()
+        count_min_dominating_sets(tree)
+        count_max_independent_sets(tree)
+        enumerate_min_dominating_sets(tree)
+        enumerate_max_independent_sets(tree)
+        assert root_at(tree, 0) is tree.rooted[0]
+        copy = pickle.loads(pickle.dumps(tree))
+        assert (tree._edges, tree._adj, copy._edges, copy._adj) == (None, None, None, None)
+        assert copy == tree
+        assert tree.edges is tree.edges and tree.adj is tree.adj
+        with pytest.raises(AttributeError):
+            tree.adj = []
+
+
+def test_forest_limit_holds_the_largest_family_tree():
+    # p = (1, ..., 1) gives the most vertices for its gamma, k + 1.
+    assert build_family_tree((1,) * 5).forest.n == 3 * 6 - 2
+    assert FOREST_MAX_ORDER >= 3 * FAMILY_MAX_GAMMA - 2
+    assert parse_forest(f"n {FOREST_MAX_ORDER}").n == FOREST_MAX_ORDER
+    with pytest.raises(ForestError, match=f"line 2: vertex count {FOREST_MAX_ORDER + 1} exceeds"):
+        parse_forest(f"# big\nn {FOREST_MAX_ORDER + 1}\n0 1\n")
 
 
 def test_forest_equality_ignores_the_rooting():
