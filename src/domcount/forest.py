@@ -37,12 +37,12 @@ class Forest:
     order of smallest vertex) and one rooting per component in ``rooted``,
     keyed by its smallest vertex.
 
-    ``edges``, the sorted (min, max) edge list, and ``adj``, each vertex's
-    sorted neighbours, are read-only.  When not passed in, each is built
-    on first read and then kept: the edges from the rootings, the
-    adjacency from the edges (see ``_adjacency``).  A forest without edges
-    needs a rooting for every component.  Two forests are equal when
-    ``(n, edges, adj, components)`` are, whatever their rootings.
+    ``adj``, each vertex's sorted neighbours, and ``edges``, the sorted
+    (min, max) edge list, are read-only.  When not passed in, each is
+    built from the rootings when first read, without the other, and then
+    kept.  So a forest not given both needs a rooting for every component.
+    Two forests are equal when ``(n, edges, adj, components)`` are,
+    whatever their rootings.
     """
 
     __hash__ = None  # compared by value, over lists
@@ -53,10 +53,29 @@ class Forest:
         self.n = n
         self.components = components
         self.rooted = {} if rooted is None else rooted
-        if edges is None and len(self.rooted) != len(components):
-            raise ValueError("a forest without edges needs one rooting per component")
+        if (edges is None or adj is None) and len(self.rooted) != len(components):
+            raise ValueError("a forest without its edges and adjacency needs one rooting per component")
         self._edges = edges
         self._adj = adj
+
+    @property
+    def adj(self) -> list[list[int]]:
+        adj = self._adj
+        if adj is None:
+            adj = [[] for _ in range(self.n)]
+            for tree in self.rooted.values():
+                order = tree.order
+                for v, i in zip(order[1:], tree.parent[1:]):
+                    u = order[i]
+                    adj[u].append(v)
+                    adj[v].append(u)
+            # A preorder rooting, a decoded tree's, gives each vertex its
+            # parent and then its children in increasing order, so there
+            # the sorts find every list already sorted.
+            for neighbours in adj:
+                neighbours.sort()
+            self._adj = adj
+        return adj
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -71,13 +90,6 @@ class Forest:
             edges.sort()
             self._edges = edges
         return edges
-
-    @property
-    def adj(self) -> list[list[int]]:
-        adj = self._adj
-        if adj is None:
-            adj = self._adj = _adjacency(self.n, self.edges)
-        return adj
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -96,25 +108,16 @@ class Forest:
         return len(self.components)
 
 
-def _adjacency(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
-    """Adjacency lists of a sorted list of (min, max) edges.  Every vertex
-    first receives its lower neighbours in increasing order, then its
-    higher ones, so each list comes out sorted without a per-vertex sort."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def build_forest(n: int, edges) -> Forest:
     """Validate an edge list and assemble a Forest.
 
     Each edge is stored as (min, max) and the list is sorted once, so a
     duplicate edge shows up as two equal neighbours.  Adjacency is built
-    from the sorted list in the same pass, sorted as in ``_adjacency``.
-    The breadth-first search that finds each component starts at its
-    smallest vertex and is kept as that component's rooting.
+    from the sorted list: every vertex first receives its lower neighbours
+    in increasing order, then its higher ones, so each list comes out
+    sorted without a per-vertex sort.  The breadth-first search that finds
+    each component starts at its smallest vertex and is kept as that
+    component's rooting.
 
     Raises ForestError on self-loops, duplicate or out-of-range edges, and
     on any cycle.

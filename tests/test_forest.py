@@ -1,9 +1,12 @@
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 
+import domcount.forest as forest_module
 from oracles import bfs_rooting, child_positions, mds_table, mis_table, pendant_two_paths
 from strategies import forests, relabeled, shuffled_forests
 from domcount.domination import count_min_dominating_sets, enumerate_min_dominating_sets
@@ -279,7 +282,7 @@ def test_views_derived_from_rootings_equal_the_built_ones(forest):
 
 def test_a_forest_without_edges_needs_every_rooting():
     forest = parse_forest("n 4\n0 1")
-    with pytest.raises(ValueError, match="one rooting per component"):
+    with pytest.raises(ValueError, match="needs one rooting per component"):
         Forest(4, components=forest.components, rooted={0: forest.rooted[0]})
 
 
@@ -300,13 +303,46 @@ def test_counting_a_decoded_tree_builds_no_views():
             tree.adj = []
 
 
+def test_threads_reading_fresh_views_see_equal_lists():
+    # Threads that build a view at once may each keep their own list; every
+    # list any of them reads must still be the right one.
+    codes = list(generate_trees(14))
+    trees = [code.decode() for code in codes]
+    built = [build_forest(code.n, list(enumerate(code.parents(), start=1))) for code in codes]
+    expected = [(forest.edges, forest.adj) for forest in built]
+    seen = [[] for _ in range(6)]
+
+    def read(out):
+        for tree in trees:
+            out.append((tree.edges, tree.adj))
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [expected] * len(seen)
+    for tree in trees:
+        assert tree.adj is tree.adj and tree.edges is tree.edges
+
+
 def test_forest_limit_holds_the_largest_family_tree():
     # p = (1, ..., 1) gives the most vertices for its gamma, k + 1.
     assert build_family_tree((1,) * 5).forest.n == 3 * 6 - 2
     assert FOREST_MAX_ORDER >= 3 * FAMILY_MAX_GAMMA - 2
-    assert parse_forest(f"n {FOREST_MAX_ORDER}").n == FOREST_MAX_ORDER
-    with pytest.raises(ForestError, match=f"line 2: vertex count {FOREST_MAX_ORDER + 1} exceeds"):
-        parse_forest(f"# big\nn {FOREST_MAX_ORDER + 1}\n0 1\n")
+
+
+def test_forest_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(forest_module, "FOREST_MAX_ORDER", 5)
+    assert parse_forest("n 5\n0 1\n").n == 5
+    with pytest.raises(ForestError, match="^line 2: vertex count 6 exceeds the forest limit 5$"):
+        parse_forest("# six\nn 6\n0 1\n")
 
 
 def test_forest_equality_ignores_the_rooting():
