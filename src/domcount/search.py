@@ -22,8 +22,9 @@ sequence is built per tree, and only the per-gamma record witnesses are
 decoded, for their diagnostics.  A subtree's (MDS, MIS) root records come
 from one recursion over slices of the sequence: its children are the
 entries one level below its first, each child's slice is looked up in a
-per-process memo of its records, and the records are merged with the
-counters' own ``_mds_merge`` and ``_mis_merge``.
+memo of its records, and the records are merged with the counters' own
+``_mds_merge`` and ``_mis_merge``.  The memo and the tables below belong
+to one ``_Sweeper`` per sweep in this process, or per worker.
 
 Every tree of a block shares the root's first subtree, so its records
 are lifted once per block to what a parent's merge reads of them
@@ -33,16 +34,16 @@ rest of the tree changes.  Each order has one ``treegen.RestList``, the
 same block driver ``generate_trees`` uses: ``run(start)`` finds the
 block's first subtree and gives its rests as one run of the list for
 their size, which starts at the latest block's first rest.  Each listed
-rest carries its entry (``_rest_entry``): the root's record over the
+rest carries its entry (``_Sweeper.entry``): the root's record over the
 rest's children, the rest's part of the code string and its star flag.
 The same rests recur across the blocks of an order: 2,677 rests serve
 the 19,320 trees (1,230 blocks) of order 16, 11,883 the 123,867 of order
 18 and 55,879 the 823,065 of order 20, each built at most once per
-worker, and at most 25,164 of order 20's are listed at a time.  A tree
-then costs its root's pick, written out in ``_fold_run``: the least of
-three (size, count) candidates for gamma and the larger of two for
-alpha, counts adding on ties, read from its rest's root record and the
-lifted first subtree.  That is the counters' pick of the root's record
+sweeper, and at most 25,164 of order 20's are listed at a time.  A tree
+then costs its root's pick, written out in ``_Sweeper.fold_run``: the
+least of three (size, count) candidates for gamma and the larger of two
+for alpha, counts adding on ties, read from its rest's root record and
+the lifted first subtree.  That is the counters' pick of the root's record
 with the first subtree merged last, without building the record; the
 merged result does not depend on the order children are merged in.  Then
 one lookup in the order's verdict table.
@@ -54,27 +55,27 @@ fails, computed once per key with the same calls as for a single tree:
 marks the order's subdivided star, whose recognizer verdict differs from
 every other tree's with its counts.  Its rest alone identifies it, as its
 first subtree (1, 2) is the only one of two vertices, so the rest's entry
-carries the flag.  Only one order's rest list and verdicts are kept at a
-time, and they are dropped after the sweep.
+carries the flag.  A sweeper holds one order's rest list and verdicts at
+a time, and they go with it when its sweep or its worker ends.
 
 A task's partial holds its tree count, per gamma and per alpha the first
 of its trees to reach the task's best count, and its violations in
 order.  A tree's code string is built only when it sets a task record,
-fails a check or is emitted as a row.  With several jobs the tasks go to
-a process pool in stream order, at most _TASKS_PER_WORKER per worker
-submitted and not yet consumed, so a slow writer of the rows holds the
-workers back instead of letting their results pile up in the parent.  On
-an error the tasks no worker has taken are dropped and the workers exit
-before the error reaches the caller.  The parent merges the partials in
-task order, which is stream order: orders ascend, blocks follow the
-generator, and codes strictly increase within an order.  It replaces a
-record only on a strictly larger count, so the first tree to reach a
-record count is the tie-break winner whatever the worker count and task
-size, and the report is identical for every ``jobs`` value.  Rows, when
-wanted, come back with their task as one CSV text, which the caller
-writes as it arrives, so the parent never holds every row; ``TreeRow``
-tuples are read back from that text in the parent, never built by a
-worker.
+fails a check or is emitted as a row.  With several jobs the tasks go, in
+stream order, to a pool of at most one worker process per CPU, at most
+_TASKS_PER_WORKER per worker submitted and not yet consumed, so a slow
+writer of the rows holds the workers back instead of letting their
+results pile up in the parent.  On an error the tasks no worker has taken
+are dropped and the workers exit before the error reaches the
+caller.  The parent merges the partials in task order, which is stream
+order: orders ascend, blocks follow the generator, and codes strictly
+increase within an order.  It replaces a record only on a strictly larger
+count, so the first tree to reach a record count is the tie-break winner
+whatever the worker count and task size, and the report is identical for
+every ``jobs`` value.  Rows, when wanted, come back with their task as
+one CSV text, which the caller writes as it arrives, so the parent never
+holds every row; ``TreeRow`` tuples are read back from that text in the
+parent, never built by a worker.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -283,69 +285,6 @@ class SearchReport:
                 + len(self.order_bound_violations))
 
 
-def _records(sub: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """The (MDS, MIS) root records of the subtree whose slice of a level
-    sequence is ``sub``.  Its children are the entries one level below
-    ``sub[0]``; their records come from ``_subtree_record`` and are merged
-    with the counters' own ``_mds_merge`` and ``_mis_merge``."""
-    mds, mis = MDS_LEAF, MIS_LEAF
-    level = sub[0] + 1
-    s = 1
-    children = sub.count(level)
-    while children:
-        children -= 1
-        e = sub.index(level, s + 1) if children else len(sub)
-        child_mds, child_mis = _subtree_record(sub[s:e])
-        s = e
-        mds = _mds_merge(mds, child_mds)
-        mis = _mis_merge(mis, child_mis)
-    return mds, mis
-
-
-# Per-process memo of ``_records`` by slice, levels as they stand in their
-# tree, so a subtree at two depths has two entries: 1,656 cover all of
-# orders 1..16, 7,029 all of orders 1..18.  Cleared after each sweep.
-_subtree_record = functools.cache(_records)
-
-
-class _Order(NamedTuple):
-    """One order's per-process tables, built when a block of the order
-    arrives (``_tables``)."""
-    names: tuple[str, ...]  # each after a space
-    rests: RestList
-    verdicts: dict[tuple[int, int, int, int, bool], tuple]
-    star: tuple[int, ...] | None  # the subdivided star's rest
-
-
-# Per-process tables of one order at a time; no entry carries over to
-# another order, and the cache is cleared after each sweep.
-@functools.lru_cache(maxsize=1)
-def _tables(n: int) -> _Order:
-    """Order n's vertex names, its rest list (items are ``_rest_entry``),
-    its verdicts by (gamma, MDS count, alpha, MIS count, star flag)
-    (``_verdict``) and its subdivided star's rest."""
-    star = None
-    if n % 2 == 0:
-        # is_subdivided_star on canonical levels: at order 2k+2 the only
-        # accepted code is (0,) + (1, 2)*k + (1,), whose first subtree
-        # (1, 2) ends at position 3; at order 2 the rest is empty.
-        star = ((0,) + (1, 2) * ((n - 2) // 2) + (1,))[3:]
-    return _Order(tuple(" " + str(i) for i in range(n)), RestList(_rest_entry), {}, star)
-
-
-def _rest_entry(rest: tuple[int, ...], m: int) -> tuple:
-    """The root's (MDS, MIS) records over the children in ``rest``, the
-    code string's parents of the rest, and its star flag: whether it is
-    the order's subdivided star's rest.  The rest follows a first subtree
-    that ends at position m, so its tree has order m + len(rest), whose
-    ``_tables`` give the positions' names and the star's rest."""
-    sub = (0, *rest)
-    mds, mis = _records(sub)
-    names, _, _, star = _tables(m + len(rest))
-    # Position j of sub is the root for j = 0, else position m + j - 1.
-    return mds, mis, "".join(_parent_names(sub, (names[0], *names[m:]))), rest == star
-
-
 # The recognizer's verdict as ``verify_mis_bound`` reads it, by star flag.
 _STAR_SHAPES = (NOT_SUBDIVIDED_STAR, SpiderShape(True))
 
@@ -370,7 +309,7 @@ def _verdict(n: int, gamma: int, mds_count: int, alpha: int, mis_count: int, is_
     return tail + "\n", tuple(failures)
 
 
-# The lifts, as ``_fold_run`` reads them, of a root with no first subtree,
+# The lifts, as ``fold_run`` reads them, of a root with no first subtree,
 # the single vertex: its states pass through (size 0, count 1), and the MDS
 # candidate that needs the first subtree in sigma0 counts no sets, at a
 # size that is never below the root's own sigma0 size 1.
@@ -392,87 +331,148 @@ class _Partial:
     rows: list[str] | str | None = None
 
 
-def _fold_run(part: _Partial, start: tuple[int, ...], m: int, run) -> None:
-    """Count and check the trees ``start[:m] + rest`` for the rests whose
-    ``_rest_entry`` items are ``run``, and fold them into ``part`` in that
-    order.  When ``part.rows`` is a list, each tree's CSV line and newline
-    is appended to it.
+class _Sweeper:
+    """One sweep's tables in this process, or one worker's: the subtree
+    memo, and the order held's vertex names, rest list (items are
+    ``entry``), verdicts (``_verdict``) and subdivided star's rest."""
 
-    The first subtree's records are lifted once (``_mds_lift``,
-    ``_mis_lift``) and the code prefix is built once.  A tree costs the
-    root's pick of the join of its rest's root record with the lifted first
-    subtree, written out: the least of three (size, count) candidates for
-    gamma and the larger of two for alpha, counts adding on ties.  Then one
-    lookup of its order's verdict for its counts and its rest's star flag
-    and, only for a row, a new task record or a failed check, one string
-    concatenation; the verdict holds the failed checks' texts.
-    """
-    n = len(start)
-    order = _tables(n)
-    verdicts = order.verdicts
-    prefix = f"c {n}" + "".join(_parent_names(start[:m], order.names))
-    if m > 1:
-        first_mds, first_mis = _subtree_record(start[1:m])
-        best, n_best, low, n_low, a0, n0 = _mds_lift(first_mds)[:6]
-        b, n_b, top, n_top = _mis_lift(first_mis)
-    else:
-        best, n_best, low, n_low, a0, n0 = _MDS_ALONE
-        b, n_b, top, n_top = _MIS_ALONE
-    gamma_best, alpha_best, violations = part.gamma_best, part.alpha_best, part.violations
-    append = part.rows.append if part.rows is not None else None
-    lead = f"{n},{prefix}"
-    for (z0, c0, z1, c1, z2, c2), (z_in, c_in, z_out, c_out), suffix, is_star in run:
-        # The root in; dominated by a rest child; dominated by the first
-        # subtree's root alone.  z1 is None only for an empty rest.
-        gamma, mds_count = z0 + best, c0 * n_best
-        if z1 is not None:
-            z = z1 + low
-            if z < gamma:
-                gamma, mds_count = z, c1 * n_low
-            elif z == gamma:
-                mds_count += c1 * n_low
-        if z2 is not None:
-            z = z2 + a0
-            if z < gamma:
-                gamma, mds_count = z, c2 * n0
-            elif z == gamma:
-                mds_count += c2 * n0
-        # The root in, with the first subtree's root out; the root out.
-        alpha, mis_count = z_in + b, c_in * n_b
-        z = z_out + top
-        if z > alpha:
-            alpha, mis_count = z, c_out * n_top
-        elif z == alpha:
-            mis_count += c_out * n_top
-        key = (gamma, mds_count, alpha, mis_count, is_star)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = verdicts[key] = _verdict(n, *key)
-        tail, failures = verdict
-        if append:
-            append(lead + suffix + tail)
-        record = gamma_best.get(gamma)
-        if record is None or mds_count > record[0]:
-            gamma_best[gamma] = (mds_count, n, prefix + suffix)
-        record = alpha_best.get(alpha)
-        if record is None or mis_count > record[0]:
-            alpha_best[alpha] = (mis_count, n, prefix + suffix)
-        for kind, detail in failures:
-            violations[kind].append((prefix + suffix, detail))
-    part.trees += len(run)
+    def __init__(self):
+        # Memo of ``records`` by slice as it stands in its tree, one entry per
+        # depth of a subtree: 1,656 cover orders 1..16, 7,029 orders 1..18.
+        self.subtree_record = functools.cache(self.records)
+        self.n = 0
+
+    def order(self, n: int) -> None:
+        """Hold order n's tables, replacing another order's."""
+        if n != self.n:
+            self.n = n
+            self.names = tuple(" " + str(i) for i in range(n))  # each after a space
+            self.rests = RestList(self.entry)
+            self.verdicts: dict[tuple[int, int, int, int, bool], tuple] = {}
+            # is_subdivided_star on canonical levels: at order 2k+2 the only
+            # accepted code is (0,) + (1, 2)*k + (1,), whose first subtree
+            # (1, 2) ends at position 3; at order 2 the rest is empty.
+            self.star = ((0,) + (1, 2) * ((n - 2) // 2) + (1,))[3:] if n % 2 == 0 else None
+
+    def records(self, sub: tuple[int, ...]) -> tuple[tuple, tuple]:
+        """The (MDS, MIS) root records of the subtree whose slice of a level
+        sequence is ``sub``.  Its children are the entries one level below
+        ``sub[0]``; their records come from ``subtree_record`` and are
+        merged with the counters' own ``_mds_merge`` and ``_mis_merge``."""
+        mds, mis = MDS_LEAF, MIS_LEAF
+        level = sub[0] + 1
+        s = 1
+        children = sub.count(level)
+        while children:
+            children -= 1
+            e = sub.index(level, s + 1) if children else len(sub)
+            child_mds, child_mis = self.subtree_record(sub[s:e])
+            s = e
+            mds = _mds_merge(mds, child_mds)
+            mis = _mis_merge(mis, child_mis)
+        return mds, mis
+
+    def entry(self, rest: tuple[int, ...], m: int) -> tuple:
+        """The root's (MDS, MIS) records over the children in ``rest``, the
+        code string's parents of the rest, and its star flag: whether it is
+        the order's subdivided star's rest.  The rest is of the order held
+        and follows a first subtree that ends at position m."""
+        sub = (0, *rest)
+        mds, mis = self.records(sub)
+        # Position j of sub is the root for j = 0, else position m + j - 1.
+        return mds, mis, "".join(_parent_names(sub, (self.names[0], *self.names[m:]))), rest == self.star
+
+    def task(self, starts, rows: bool = False) -> _Partial:
+        """Count and check every tree of the blocks at ``starts``, in stream
+        order, into one partial, with its rows as one CSV text if ``rows``.
+        Each block's rests are the run its order's rest list gives, which in
+        stream order builds each rest's entry once per sweeper."""
+        part = _Partial(rows=[] if rows else None)
+        for start in starts:
+            self.order(len(start))
+            self.fold_run(part, start, *self.rests.run(start))
+        if rows:
+            part.rows = "".join(part.rows)
+        return part
+
+    def fold_run(self, part: _Partial, start: tuple[int, ...], m: int, run) -> None:
+        """Count and check the trees ``start[:m] + rest``, of the order held,
+        for the rests whose ``entry`` items are ``run``, and fold them into
+        ``part`` in that order.  When ``part.rows`` is a list, each tree's
+        CSV line and newline is appended to it.
+
+        The first subtree's records are lifted once (``_mds_lift``,
+        ``_mis_lift``) and the code prefix is built once.  A tree costs the
+        root's pick of the join of its rest's root record with the lifted first
+        subtree, written out: the least of three (size, count) candidates for
+        gamma and the larger of two for alpha, counts adding on ties.  Then one
+        lookup of the order's verdict for its counts and its rest's star flag
+        and, only for a row, a new task record or a failed check, one string
+        concatenation; the verdict holds the failed checks' texts.
+        """
+        n = len(start)
+        verdicts = self.verdicts
+        prefix = f"c {n}" + "".join(_parent_names(start[:m], self.names))
+        if m > 1:
+            first_mds, first_mis = self.subtree_record(start[1:m])
+            best, n_best, low, n_low, a0, n0 = _mds_lift(first_mds)[:6]
+            b, n_b, top, n_top = _mis_lift(first_mis)
+        else:
+            best, n_best, low, n_low, a0, n0 = _MDS_ALONE
+            b, n_b, top, n_top = _MIS_ALONE
+        gamma_best, alpha_best, violations = part.gamma_best, part.alpha_best, part.violations
+        append = part.rows.append if part.rows is not None else None
+        lead = f"{n},{prefix}"
+        for (z0, c0, z1, c1, z2, c2), (z_in, c_in, z_out, c_out), suffix, is_star in run:
+            # The root in; dominated by a rest child; dominated by the first
+            # subtree's root alone.  z1 is None only for an empty rest.
+            gamma, mds_count = z0 + best, c0 * n_best
+            if z1 is not None:
+                z = z1 + low
+                if z < gamma:
+                    gamma, mds_count = z, c1 * n_low
+                elif z == gamma:
+                    mds_count += c1 * n_low
+            if z2 is not None:
+                z = z2 + a0
+                if z < gamma:
+                    gamma, mds_count = z, c2 * n0
+                elif z == gamma:
+                    mds_count += c2 * n0
+            # The root in, with the first subtree's root out; the root out.
+            alpha, mis_count = z_in + b, c_in * n_b
+            z = z_out + top
+            if z > alpha:
+                alpha, mis_count = z, c_out * n_top
+            elif z == alpha:
+                mis_count += c_out * n_top
+            key = (gamma, mds_count, alpha, mis_count, is_star)
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = _verdict(n, *key)
+            tail, failures = verdict
+            if append:
+                append(lead + suffix + tail)
+            record = gamma_best.get(gamma)
+            if record is None or mds_count > record[0]:
+                gamma_best[gamma] = (mds_count, n, prefix + suffix)
+            record = alpha_best.get(alpha)
+            if record is None or mis_count > record[0]:
+                alpha_best[alpha] = (mis_count, n, prefix + suffix)
+            for kind, detail in failures:
+                violations[kind].append((prefix + suffix, detail))
+        part.trees += len(run)
 
 
-def _sweep_task(starts, rows: bool = False) -> _Partial:
-    """Count and check every tree of the blocks at ``starts``, in stream
-    order, into one partial, with its rows as one CSV text if ``rows``.
-    Each block's rests are the run its order's rest list gives, which in
-    stream order builds each rest's entry once per process."""
-    part = _Partial(rows=[] if rows else None)
-    for start in starts:
-        _fold_run(part, start, *_tables(len(start)).rests.run(start))
-    if rows:
-        part.rows = "".join(part.rows)
-    return part
+# This worker's sweeper, for one sweep; the process that sweeps never sets it.
+_worker: _Sweeper | None = None
+
+
+def _worker_task(starts, rows: bool) -> _Partial:
+    """``_Sweeper.task`` on this worker's sweeper, made by its first task."""
+    global _worker
+    _worker = _worker or _Sweeper()
+    return _worker.task(starts, rows)
 
 
 def _read_rows(text: str, tails: dict[str, tuple]) -> list[TreeRow]:
@@ -517,13 +517,14 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
     smaller code.  The report is byte-for-byte identical for every ``jobs``
     value and every task size.
 
-    Workers are forked where the platform can fork, else spawned, and get
-    the next task as the oldest result is consumed, at most
-    _TASKS_PER_WORKER per worker ahead.  A task returns its rows, when
-    wanted, as CSV text.  With ``emit_rows``, ``report.rows`` lists every
-    tree's ``TreeRow``, read back from that text.  With ``write``, the CSV header and then each task's text are
-    passed to ``write`` in stream order once the arguments are checked, and
-    no row is kept.
+    Workers, ``jobs`` of them but at most one per CPU, are forked where the
+    platform can fork, else spawned, and get the next task as the oldest
+    result is consumed, at most _TASKS_PER_WORKER per worker ahead.  A task
+    returns its rows, when wanted, as CSV text.  With ``emit_rows``,
+    ``report.rows`` lists every tree's ``TreeRow``, read back from that
+    text.  With ``write``, the CSV header and then each task's text are
+    passed to ``write`` in stream order once the arguments are checked,
+    and no row is kept.
     """
     ceiling = search_max_order()
     if not 1 <= min_order <= max_order:
@@ -543,7 +544,7 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
     tails: dict[str, tuple] = {}
     if write is not None:
         write(CSV_HEADER + "\n")
-    task = functools.partial(_sweep_task, rows=emit_rows or write is not None)
+    rows_wanted = emit_rows or write is not None
     starts = (start for n in range(min_order, max_order + 1) for start in block_starts(n))
     tasks = iter(lambda: list(itertools.islice(starts, _BLOCKS_PER_TASK)), [])
     executor = None
@@ -553,10 +554,12 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            executor = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context(method))
-            parts = _in_order(functools.partial(executor.submit, task), tasks, _TASKS_PER_WORKER * jobs)
+            workers = min(jobs, os.cpu_count() or 1)
+            executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+            submit = functools.partial(executor.submit, _worker_task, rows=rows_wanted)
+            parts = _in_order(submit, tasks, _TASKS_PER_WORKER * workers)
         else:
-            parts = map(task, tasks)
+            parts = map(functools.partial(_Sweeper().task, rows=rows_wanted), tasks)
         for part in parts:
             trees += part.trees
             for best, records in ((gamma_best, part.gamma_best), (alpha_best, part.alpha_best)):
@@ -574,9 +577,6 @@ def search_extremal(min_order: int, max_order: int, jobs: int = 1, emit_rows: bo
             # After an error, drop the tasks no worker has taken and wait
             # for the workers to exit.
             executor.shutdown(cancel_futures=True)
-        # Records are cheap to rebuild; do not keep them past the sweep.
-        _subtree_record.cache_clear()
-        _tables.cache_clear()
 
     gamma_records = {g: ExtremalRecord(g, count, CanonicalCode.from_string(code), order)
                      for g, (count, order, code) in sorted(gamma_best.items())}

@@ -26,7 +26,7 @@ the root; the successor moves on from there.  ``RestList.run(start)``
 then finds the block's first subtree and gives the block's rests as one
 run of the list for their size (see "Rest lists" below).  The exhaustive
 sweep drives its blocks the same way: the walk runs in its parent
-process, and each worker keeps one ``RestList`` per order, whose items
+process, and each sweeper holds one ``RestList`` at a time, whose items
 are the rests' sweep entries.
 
 A first subtree can be too big for its tree.  Let d be its depth (its

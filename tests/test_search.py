@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from fractions import Fraction
@@ -32,14 +33,9 @@ from domcount.independence import (
 from domcount.search import (
     DiagnosticsReport,
     HubConfiguration,
-    _fold_run,
     _Partial,
     _read_rows,
-    _records,
-    _rest_entry,
-    _subtree_record,
-    _sweep_task,
-    _tables,
+    _Sweeper,
     compute_growth_base,
     extremal_diagnostics,
     mis_order_bound,
@@ -282,32 +278,24 @@ def test_merge_is_independent_of_task_size(monkeypatch):
     assert len(texts) == len(csvs) == 1
 
 
-def cached_rests(n):
-    # The rests listed for order n, whose tables must be the one entry the
-    # tables cache holds: reading them hits the cache and evicts nothing.
-    info = _tables.cache_info()
-    assert info.currsize == 1
-    rests = _tables(n).rests
-    assert _tables.cache_info().misses == info.misses, n
-    return [rest for chain in rests.rests.values() for rest in chain]
+def cached_rests(sweeper, n):
+    # The rests listed for order n, whose tables must be the ones the
+    # sweeper holds.
+    assert sweeper.n == n
+    return [rest for chain in sweeper.rests.rests.values() for rest in chain]
 
 
 def test_kernel_rows_match_forest_oracle():
     # The level-sequence kernel against one decoded Forest and the public
-    # counters and recognizer per tree.  Each order runs from cold memos,
-    # then again with every subtree and rest of the order memoised.
-    try:
-        for n in range(1, 17):
-            expected = forest_tree_rows([code.levels for code in generate_trees(n)])
-            _subtree_record.cache_clear()
-            _tables.cache_clear()
-            for memos in ("cold", "warm"):
-                rows = _read_rows(_sweep_task(block_starts(n), True).rows, {})
-                assert rows == expected, (n, memos)
-            cached_rests(n)
-    finally:
-        _subtree_record.cache_clear()
-        _tables.cache_clear()
+    # counters and recognizer per tree.  Each order runs from a fresh
+    # sweeper, then again with every subtree and rest of the order memoised.
+    for n in range(1, 17):
+        expected = forest_tree_rows([code.levels for code in generate_trees(n)])
+        sweeper = _Sweeper()
+        for memos in ("cold", "warm"):
+            rows = _read_rows(sweeper.task(block_starts(n), True).rows, {})
+            assert rows == expected, (n, memos)
+        cached_rests(sweeper, n)
 
 
 def test_rest_memo_holds_one_order(monkeypatch):
@@ -316,85 +304,71 @@ def test_rest_memo_holds_one_order(monkeypatch):
     # of an order's rests is built once, none is carried over from another
     # order, and every rest still listed belongs to the order.
     built = []
-    rest_entry = search._rest_entry
+    entry = _Sweeper.entry
 
-    def counting_rest_entry(rest, *args, **kwargs):
+    def counting_entry(self, rest, m):
         built.append(rest)
-        return rest_entry(rest, *args, **kwargs)
+        return entry(self, rest, m)
 
-    monkeypatch.setattr(search, "_rest_entry", counting_rest_entry)
-    try:
-        for n in (7, 8, 7, 12):
-            built.clear()
-            _sweep_task(block_starts(n))
-            levels = [code.levels for code in generate_trees(n)]
-            rests = {seq[_first_subtree_end(seq):] for seq in levels}
-            assert sorted(built) == sorted(rests), n
-            assert set(cached_rests(n)) <= rests, n
-    finally:
-        _subtree_record.cache_clear()
-        _tables.cache_clear()
+    monkeypatch.setattr(_Sweeper, "entry", counting_entry)
+    sweeper = _Sweeper()
+    for n in (7, 8, 7, 12):
+        built.clear()
+        sweeper.task(block_starts(n))
+        levels = [code.levels for code in generate_trees(n)]
+        rests = {seq[_first_subtree_end(seq):] for seq in levels}
+        assert sorted(built) == sorted(rests), n
+        assert set(cached_rests(sweeper, n)) <= rests, n
 
 
 def test_records_match_tables_on_every_subtree():
     # Every vertex's subtree slice in every tree of orders 1..14, against
     # the root records of the flat folds over the slice shifted to level 0.
-    try:
-        for n in range(1, 15):
-            for code in generate_trees(n):
-                levels = code.levels
-                for i, level in enumerate(levels):
-                    end = next((j for j in range(i + 1, n) if levels[j] <= level), n)
-                    sub = levels[i:end]
-                    parent = [-1, *CanonicalCode(tuple(x - level for x in sub)).parents()]
-                    assert _records(sub) == (mds_table(parent)[0], mis_table(parent)[0]), (code, i)
-    finally:
-        _subtree_record.cache_clear()
+    records = _Sweeper().records
+    for n in range(1, 15):
+        for code in generate_trees(n):
+            levels = code.levels
+            for i, level in enumerate(levels):
+                end = next((j for j in range(i + 1, n) if levels[j] <= level), n)
+                sub = levels[i:end]
+                parent = [-1, *CanonicalCode(tuple(x - level for x in sub)).parents()]
+                assert records(sub) == (mds_table(parent)[0], mis_table(parent)[0]), (code, i)
 
 
 def test_sweep_releases_the_subtree_memo(monkeypatch):
-    # The subtree memo, the rest lists and the verdict tables are filled
-    # while a sweep runs and released after it, also when a check raises.
-    search_extremal(1, 10)
-    assert _subtree_record.cache_info().currsize == 0
-    assert _tables.cache_info().currsize == 0
-    rest_entries = [0]
-    rest_entry = search._rest_entry
+    # Each sweep in this process fills a sweeper of its own: its subtree
+    # memo, rest list and verdict table.  No sweeper outlives its sweep,
+    # also when a check raises, and the workers' sweeper stays unset here.
+    sweepers, filled = [], []
+    task = _Sweeper.task
 
-    def counting_rest_entry(*args, **kwargs):
-        rest_entries[0] += 1
-        return rest_entry(*args, **kwargs)
-
-    orders = []
-    order_tables = search._Order
-
-    def kept_order(*args):
-        orders.append(order_tables(*args))
-        return orders[-1]
-
-    filled, lists = [], []
+    def watched_task(self, starts, rows=False):
+        if not any(ref() is self for ref in sweepers):
+            sweepers.append(weakref.ref(self))
+        try:
+            return task(self, starts, rows)
+        finally:
+            filled.append((len(sweepers), self.subtree_record.cache_info().currsize,
+                           sum(map(len, self.rests.items.values())), len(self.verdicts)))
 
     def failing_check(gamma, count):
         if gamma == 4:
-            order = orders.pop()
-            lists.append(weakref.ref(order.rests))
-            filled.append((_subtree_record.cache_info().currsize, _tables.cache_info().currsize,
-                           rest_entries[0], sum(map(len, order.rests.items.values())),
-                           len(order.verdicts)))
             raise RuntimeError("check failed")
         return verify_mds_bound(gamma, count)
 
-    monkeypatch.setattr(search, "_rest_entry", counting_rest_entry)
-    monkeypatch.setattr(search, "_Order", kept_order)
+    monkeypatch.setattr(_Sweeper, "task", watched_task)
+    search_extremal(1, 10)
+    gc.collect()
+    assert len(sweepers) == 1 and sweepers[0]() is None
     monkeypatch.setattr(search, "verify_mds_bound", failing_check)
     with pytest.raises(RuntimeError, match="check failed"):
         search_extremal(1, 10)
-    subtrees, tables, entries, listed, verdicts = filled[0]
-    assert subtrees > 0 and tables == 1 and entries > 0 and listed > 0 and verdicts > 0
-    assert _subtree_record.cache_info().currsize == 0
-    assert _tables.cache_info().currsize == 0
     gc.collect()
-    assert lists and all(rests() is None for rests in lists)
+    assert len(sweepers) == 2 and sweepers[1]() is None
+    for sweep in (1, 2):
+        subtrees, entries, verdicts = [fill[1:] for fill in filled if fill[0] == sweep][-1]
+        assert subtrees > 0 and entries > 0 and verdicts > 0, sweep
+    assert search._worker is None
 
 
 def test_kernel_matches_counters_on_random_trees():
@@ -404,40 +378,42 @@ def test_kernel_matches_counters_on_random_trees():
     # recognizer on the labelled tree.
     rng = random.Random(20180)
     stars = 0
-    try:
-        for _ in range(3000):
-            forest = random_tree(rng)
-            levels = canonical_code(forest).levels
-            dom = count_min_dominating_sets(forest)
-            ind = count_max_independent_sets(forest)
-            m = _first_subtree_end(levels)
-            entry = _rest_entry(levels[m:], m)
-            part = _Partial(rows=[])
-            _fold_run(part, levels, m, [entry])
-            (row,) = _read_rows("".join(part.rows), {})
-            assert row == forest_tree_rows([levels])[0]
-            assert row[2:6] == (dom.gamma, dom.mds_count, ind.alpha, ind.mis_count)
-            shape = is_subdivided_star(forest)
-            assert row.is_subdivided_star == shape.is_subdivided_star
-            stars += shape.is_subdivided_star
-    finally:
-        _subtree_record.cache_clear()
-        _tables.cache_clear()
+    sweeper = _Sweeper()
+    for _ in range(3000):
+        forest = random_tree(rng)
+        levels = canonical_code(forest).levels
+        dom = count_min_dominating_sets(forest)
+        ind = count_max_independent_sets(forest)
+        m = _first_subtree_end(levels)
+        sweeper.order(len(levels))
+        entry = sweeper.entry(levels[m:], m)
+        part = _Partial(rows=[])
+        sweeper.fold_run(part, levels, m, [entry])
+        (row,) = _read_rows("".join(part.rows), {})
+        assert row == forest_tree_rows([levels])[0]
+        assert row[2:6] == (dom.gamma, dom.mds_count, ind.alpha, ind.mis_count)
+        shape = is_subdivided_star(forest)
+        assert row.is_subdivided_star == shape.is_subdivided_star
+        stars += shape.is_subdivided_star
     assert stars >= 50
 
 
-def kernel_picks(start, m, run):
+# The kernel's fold as defined, which a test patches on the class.
+FOLD_RUN = _Sweeper.fold_run
+
+
+def kernel_picks(sweeper, start, m, run):
     # (gamma, MDS count, alpha, MIS count) of each tree of the run, as the
     # kernel's inline root pick gives them, read from its rows.
     part = _Partial(rows=[])
-    _fold_run(part, start, m, run)
+    FOLD_RUN(sweeper, part, start, m, run)
     return [tuple(map(int, line.split(",")[2:6])) for line in part.rows]
 
 
-def merged_picks(start, m, run):
+def merged_picks(sweeper, start, m, run):
     # The same from the full merges of each rest's records with the first
     # subtree's, picked as the counters pick a root.
-    first = _subtree_record(start[1:m]) if m > 1 else None
+    first = sweeper.subtree_record(start[1:m]) if m > 1 else None
     picks = []
     for rest_mds, rest_mis, _, _ in run:
         mds = _mds_merge(rest_mds, first[0]) if first else rest_mds
@@ -453,34 +429,32 @@ def test_lifted_root_pick_matches_the_merges(monkeypatch):
     # sweep meets at orders 1..14, on pairs cut from random trees and on
     # the single vertex, whose root has no first subtree.
     runs = []
-    fold_run = search._fold_run
 
-    def checked_fold_run(part, start, m, run):
+    def checked_fold_run(self, part, start, m, run):
         runs.append(len(run))
-        assert kernel_picks(start, m, run) == merged_picks(start, m, run), start
-        fold_run(part, start, m, run)
+        assert kernel_picks(self, start, m, run) == merged_picks(self, start, m, run), start
+        FOLD_RUN(self, part, start, m, run)
 
-    monkeypatch.setattr(search, "_fold_run", checked_fold_run)
+    monkeypatch.setattr(_Sweeper, "fold_run", checked_fold_run)
     assert search_extremal(1, 14).trees_processed == sum(runs)
     assert len(runs) == sum(1 for n in range(1, 15) for _ in block_starts(n))
 
     rng = random.Random(26)
     previous = (0,)
-    try:
-        assert kernel_picks((0,), 1, [_rest_entry((), 1)]) == [(1, 1, 1, 1)]
-        for _ in range(3000):
-            levels = canonical_code(random_tree(rng)).levels
-            # The tree's own split, and the previous tree hung below its
-            # root as the first subtree: larger than the rest, or not.
-            m = _first_subtree_end(levels)
-            cross = (0, *(x + 1 for x in previous), *levels[1:])
-            for start, m in ((levels, m), (cross, len(previous) + 1)):
-                run = [_rest_entry(start[m:], m)]
-                assert kernel_picks(start, m, run) == merged_picks(start, m, run), start
-            previous = levels
-    finally:
-        _subtree_record.cache_clear()
-        _tables.cache_clear()
+    sweeper = _Sweeper()
+    sweeper.order(1)
+    assert kernel_picks(sweeper, (0,), 1, [sweeper.entry((), 1)]) == [(1, 1, 1, 1)]
+    for _ in range(3000):
+        levels = canonical_code(random_tree(rng)).levels
+        # The tree's own split, and the previous tree hung below its
+        # root as the first subtree: larger than the rest, or not.
+        m = _first_subtree_end(levels)
+        cross = (0, *(x + 1 for x in previous), *levels[1:])
+        for start, m in ((levels, m), (cross, len(previous) + 1)):
+            sweeper.order(len(start))
+            run = [sweeper.entry(start[m:], m)]
+            assert kernel_picks(sweeper, start, m, run) == merged_picks(sweeper, start, m, run), start
+        previous = levels
 
 
 FORKS = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -558,9 +532,13 @@ def test_spawned_workers_give_the_same_bytes(monkeypatch):
 def test_a_failing_sweep_stops_its_workers(monkeypatch):
     # A write that fails, as into a closed pipe, and a check that raises in
     # a worker: each error reaches the caller with its type, the tasks not
-    # yet taken are dropped, no worker outlives the sweep and the memos are
-    # released.
+    # yet taken are dropped and no worker, nor the sweeper it built entries
+    # and verdicts in, outlives the sweep.  This process makes no sweeper
+    # and leaves the workers' sweeper unset.
     monkeypatch.setattr(search, "_BLOCKS_PER_TASK", 1)
+    made = []
+    init = _Sweeper.__init__
+    monkeypatch.setattr(_Sweeper, "__init__", lambda self: made.append(weakref.ref(self)) or init(self))
     writes = []
 
     def failing_write(text):
@@ -569,19 +547,26 @@ def test_a_failing_sweep_stops_its_workers(monkeypatch):
             raise BrokenPipeError("closed")
 
     def failing_check(gamma, count):
+        # The first tree with gamma 4 is the sixth of order 8, in the third
+        # of the order's blocks; the trees before it in its block have
+        # their verdicts in the worker's sweeper.
         if gamma == 4:
-            raise RuntimeError("check failed")
+            sweeper = search._worker
+            memo = sweeper.subtree_record.cache_info().currsize
+            entries = sum(map(len, sweeper.rests.items.values()))
+            raise RuntimeError(f"check failed at order {sweeper.n}: {memo} subtrees, "
+                               f"{entries} entries, {len(sweeper.verdicts)} verdicts")
         return verify_mds_bound(gamma, count)
 
     with pytest.raises(BrokenPipeError):
         search_extremal(1, 14, jobs=2, write=failing_write)
     assert len(writes) == 2
     monkeypatch.setattr(search, "verify_mds_bound", failing_check)
-    with pytest.raises(RuntimeError, match="check failed"):
+    with pytest.raises(RuntimeError, match=r"check failed at order 8: [1-9]\d* subtrees, [1-9]\d* entries, "
+                                           r"[1-9]\d* verdicts"):
         search_extremal(1, 14, jobs=2)
     assert multiprocessing.active_children() == []
-    assert _subtree_record.cache_info().currsize == 0
-    assert _tables.cache_info().currsize == 0
+    assert made == [] and search._worker is None
 
 
 def test_workers_run_at_most_a_window_ahead(monkeypatch):
@@ -606,7 +591,60 @@ def test_workers_run_at_most_a_window_ahead(monkeypatch):
     monkeypatch.setattr(search, "_BLOCKS_PER_TASK", 1)
     search_extremal(1, 12, jobs=2, write=slow_write)
     assert submitted[0] == written[0] == sum(1 for n in range(1, 13) for _ in block_starts(n))
-    assert max(ahead) == 2 * search._TASKS_PER_WORKER
+    assert max(ahead) == min(2, os.cpu_count() or 1) * search._TASKS_PER_WORKER
+
+
+def test_jobs_above_the_cpu_count_start_one_worker_per_cpu(monkeypatch):
+    # The pool starts all its workers at its first task, so a huge jobs
+    # value must not size it.  The fake pool records its size and refuses
+    # to run, so no process is started.
+    import concurrent.futures
+    sizes = []
+
+    class RefusingPool:
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            raise RuntimeError("no pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusingPool)
+    with pytest.raises(RuntimeError, match="no pool"):
+        search_extremal(1, 5, jobs=100_000)
+    assert sizes == [min(100_000, os.cpu_count() or 1)]
+    assert multiprocessing.active_children() == []
+
+
+def test_sweeps_in_threads_share_no_state():
+    # Three sweeps run at once in threads of one process, switching threads
+    # every 10 us: each gives the report, and the rows when it keeps them,
+    # of a sweep run alone.
+    chunks = []
+    text = report_text(search_extremal(1, 14, write=chunks.append))
+    csv = "".join(chunks)
+    results = {}
+
+    def written():
+        chunks = []
+        results["write"] = report_text(search_extremal(1, 14, write=chunks.append)), "".join(chunks)
+
+    def listed():
+        report = search_extremal(1, 14, emit_rows=True)
+        results["rows"] = report_text(report), "".join(line + "\n" for line in report_csv_lines(report))
+
+    def plain():
+        results["plain"] = report_text(search_extremal(1, 14))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sweep) for sweep in (written, listed, plain)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {"write": (text, csv), "rows": (text, csv), "plain": text}
 
 
 def test_importing_the_cli_loads_no_process_pool():
