@@ -12,7 +12,7 @@ of that size for three states:
   sigma2 -- the vertex is out and not yet dominated (its parent must be in).
 
 ``_mds_merge`` merges one child's record into its parent's; the fold and
-the exhaustive sweep's subtree records (``search._Sweeper.records``) both
+the exhaustive sweep's subtree records (``search._records``) both
 call it, so the recurrence is written once.  ``_mds_lift`` is what the
 merge reads of a child; the sweep picks each tree's root from it without
 merging.  The merged result does not depend on the order children arrive

@@ -34,7 +34,7 @@ rest of the tree changes.  Each order has one ``treegen.RestList``, the
 same block driver ``generate_trees`` uses: ``run(start)`` finds the
 block's first subtree and gives its rests as one run of the list for
 their size, which starts at the latest block's first rest.  Each listed
-rest carries its entry (``_Sweeper.entry``): the root's record over the
+rest carries its entry (``_entry``): the root's record over the
 rest's children, the rest's part of the code string and its star flag.
 The same rests recur across the blocks of an order: 2,677 rests serve
 the 19,320 trees (1,230 blocks) of order 16, 11,883 the 123,867 of order
@@ -56,7 +56,7 @@ marks the order's subdivided star, whose recognizer verdict differs from
 every other tree's with its counts.  Its rest alone identifies it, as its
 first subtree (1, 2) is the only one of two vertices, so the rest's entry
 carries the flag.  A sweeper holds one order's rest list and verdicts at
-a time, and they go with it when its sweep or its worker ends.
+a time, and they go with it as soon as its sweep returns or its worker ends.
 
 A task's partial holds its tree count, per gamma and per alpha the first
 of its trees to reach the task's best count, and its violations in
@@ -331,34 +331,17 @@ class _Partial:
     rows: list[str] | str | None = None
 
 
-class _Sweeper:
-    """One sweep's tables in this process, or one worker's: the subtree
-    memo, and the order held's vertex names, rest list (items are
-    ``entry``), verdicts (``_verdict``) and subdivided star's rest."""
+class _Memo(dict):
+    """The (MDS, MIS) root records of subtrees by their slices as they
+    stand in their trees, each computed by ``records`` on its first lookup."""
 
-    def __init__(self):
-        # Memo of ``records`` by slice as it stands in its tree, one entry per
-        # depth of a subtree: 1,656 cover orders 1..16, 7,029 orders 1..18.
-        self.subtree_record = functools.cache(self.records)
-        self.n = 0
-
-    def order(self, n: int) -> None:
-        """Hold order n's tables, replacing another order's."""
-        if n != self.n:
-            self.n = n
-            self.names = tuple(" " + str(i) for i in range(n))  # each after a space
-            self.rests = RestList(self.entry)
-            self.verdicts: dict[tuple[int, int, int, int, bool], tuple] = {}
-            # is_subdivided_star on canonical levels: at order 2k+2 the only
-            # accepted code is (0,) + (1, 2)*k + (1,), whose first subtree
-            # (1, 2) ends at position 3; at order 2 the rest is empty.
-            self.star = ((0,) + (1, 2) * ((n - 2) // 2) + (1,))[3:] if n % 2 == 0 else None
+    def __missing__(self, sub: tuple[int, ...]) -> tuple[tuple, tuple]:
+        records = self[sub] = self.records(sub)
+        return records
 
     def records(self, sub: tuple[int, ...]) -> tuple[tuple, tuple]:
-        """The (MDS, MIS) root records of the subtree whose slice of a level
-        sequence is ``sub``.  Its children are the entries one level below
-        ``sub[0]``; their records come from ``subtree_record`` and are
-        merged with the counters' own ``_mds_merge`` and ``_mis_merge``."""
+        """The root records of the subtree whose slice of a level sequence
+        is ``sub``: its children's, looked up here, merged into a leaf's."""
         mds, mis = MDS_LEAF, MIS_LEAF
         level = sub[0] + 1
         s = 1
@@ -366,21 +349,44 @@ class _Sweeper:
         while children:
             children -= 1
             e = sub.index(level, s + 1) if children else len(sub)
-            child_mds, child_mis = self.subtree_record(sub[s:e])
+            child_mds, child_mis = self[sub[s:e]]
             s = e
             mds = _mds_merge(mds, child_mds)
             mis = _mis_merge(mis, child_mis)
         return mds, mis
 
-    def entry(self, rest: tuple[int, ...], m: int) -> tuple:
-        """The root's (MDS, MIS) records over the children in ``rest``, the
-        code string's parents of the rest, and its star flag: whether it is
-        the order's subdivided star's rest.  The rest is of the order held
-        and follows a first subtree that ends at position m."""
-        sub = (0, *rest)
-        mds, mis = self.records(sub)
-        # Position j of sub is the root for j = 0, else position m + j - 1.
-        return mds, mis, "".join(_parent_names(sub, (self.names[0], *self.names[m:]))), rest == self.star
+
+def _entry(memo: _Memo, names: tuple[str, ...], star, rest: tuple[int, ...], m: int) -> tuple:
+    """The root's (MDS, MIS) records over the children in ``rest``, the
+    code string's parents of the rest, and whether the rest is ``star``.
+    The rest follows a first subtree ending at position m of a tree of ``names``."""
+    sub = (0, *rest)
+    mds, mis = memo.records(sub)
+    # Position j of sub is the root for j = 0, else position m + j - 1.
+    return mds, mis, "".join(_parent_names(sub, (names[0], *names[m:]))), rest == star
+
+
+class _Sweeper:
+    """One sweep's tables in this process, or one worker's: the subtree
+    memo, and the order held's vertex names, rest list of ``entry`` items
+    and verdicts (``_verdict``); none refers back to the sweeper."""
+
+    def __init__(self):
+        # One entry per depth of a subtree: 1,656 cover orders 1..16, 7,029 1..18.
+        self.memo = _Memo()
+        self.n = 0
+
+    def order(self, n: int) -> None:
+        """Hold order n's tables, replacing another order's."""
+        if n != self.n:
+            self.n = n
+            self.names = tuple(" " + str(i) for i in range(n))  # each after a space
+            # is_subdivided_star accepts at order 2k+2 only the code (0,) + (1, 2)*k + (1,),
+            # whose first subtree (1, 2) ends at position 3; at order 2 the rest is empty.
+            star = ((0,) + (1, 2) * ((n - 2) // 2) + (1,))[3:] if n % 2 == 0 else None
+            self.entry = functools.partial(_entry, self.memo, self.names, star)
+            self.rests = RestList(self.entry)
+            self.verdicts: dict[tuple[int, int, int, int, bool], tuple] = {}
 
     def task(self, starts, rows: bool = False) -> _Partial:
         """Count and check every tree of the blocks at ``starts``, in stream
@@ -401,20 +407,16 @@ class _Sweeper:
         ``part`` in that order.  When ``part.rows`` is a list, each tree's
         CSV line and newline is appended to it.
 
-        The first subtree's records are lifted once (``_mds_lift``,
-        ``_mis_lift``) and the code prefix is built once.  A tree costs the
-        root's pick of the join of its rest's root record with the lifted first
-        subtree, written out: the least of three (size, count) candidates for
-        gamma and the larger of two for alpha, counts adding on ties.  Then one
-        lookup of the order's verdict for its counts and its rest's star flag
-        and, only for a row, a new task record or a failed check, one string
-        concatenation; the verdict holds the failed checks' texts.
+        The first subtree's records are lifted and the code prefix built
+        once; a tree costs the root's pick written out (see the module
+        docstring), one verdict lookup and, only for a row, a new task
+        record or a failed check, one string concatenation.
         """
         n = len(start)
         verdicts = self.verdicts
         prefix = f"c {n}" + "".join(_parent_names(start[:m], self.names))
         if m > 1:
-            first_mds, first_mis = self.subtree_record(start[1:m])
+            first_mds, first_mis = self.memo[start[1:m]]
             best, n_best, low, n_low, a0, n0 = _mds_lift(first_mds)[:6]
             b, n_b, top, n_top = _mis_lift(first_mis)
         else:
@@ -627,9 +629,7 @@ def report_text(report: SearchReport) -> str:
         lines.extend(f"  {code} {detail}" for code, detail in violations)
     lines.append("per-gamma records:")
     for gamma, record in report.gamma_records.items():
-        suffix = ""
-        if record.best_count > (1 << gamma):
-            suffix = f" exceeds 2^gamma={1 << gamma}"
+        suffix = f" exceeds 2^gamma={1 << gamma}" if record.best_count > (1 << gamma) else ""
         lines.append(f"  gamma={gamma} count={record.best_count} "
                      f"order={record.witness_order} code={record.witness.to_string()}{suffix}")
     lines.append("per-alpha records:")

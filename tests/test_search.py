@@ -33,6 +33,7 @@ from domcount.independence import (
 from domcount.search import (
     DiagnosticsReport,
     HubConfiguration,
+    _Memo,
     _Partial,
     _read_rows,
     _Sweeper,
@@ -304,13 +305,13 @@ def test_rest_memo_holds_one_order(monkeypatch):
     # of an order's rests is built once, none is carried over from another
     # order, and every rest still listed belongs to the order.
     built = []
-    entry = _Sweeper.entry
+    entry = search._entry
 
-    def counting_entry(self, rest, m):
+    def counting_entry(memo, names, star, rest, m):
         built.append(rest)
-        return entry(self, rest, m)
+        return entry(memo, names, star, rest, m)
 
-    monkeypatch.setattr(_Sweeper, "entry", counting_entry)
+    monkeypatch.setattr(search, "_entry", counting_entry)
     sweeper = _Sweeper()
     for n in (7, 8, 7, 12):
         built.clear()
@@ -324,7 +325,7 @@ def test_rest_memo_holds_one_order(monkeypatch):
 def test_records_match_tables_on_every_subtree():
     # Every vertex's subtree slice in every tree of orders 1..14, against
     # the root records of the flat folds over the slice shifted to level 0.
-    records = _Sweeper().records
+    records = _Memo().records
     for n in range(1, 15):
         for code in generate_trees(n):
             levels = code.levels
@@ -337,8 +338,10 @@ def test_records_match_tables_on_every_subtree():
 
 def test_sweep_releases_the_subtree_memo(monkeypatch):
     # Each sweep in this process fills a sweeper of its own: its subtree
-    # memo, rest list and verdict table.  No sweeper outlives its sweep,
-    # also when a check raises, and the workers' sweeper stays unset here.
+    # memo, rest list and verdict table.  No sweeper outlives its sweep:
+    # with the cyclic collector off it is freed as the sweep returns, and
+    # after a raising check once the traceback's frames are collected.  The
+    # workers' sweeper stays unset here.
     sweepers, filled = [], []
     task = _Sweeper.task
 
@@ -348,7 +351,7 @@ def test_sweep_releases_the_subtree_memo(monkeypatch):
         try:
             return task(self, starts, rows)
         finally:
-            filled.append((len(sweepers), self.subtree_record.cache_info().currsize,
+            filled.append((len(sweepers), len(self.memo),
                            sum(map(len, self.rests.items.values())), len(self.verdicts)))
 
     def failing_check(gamma, count):
@@ -357,9 +360,14 @@ def test_sweep_releases_the_subtree_memo(monkeypatch):
         return verify_mds_bound(gamma, count)
 
     monkeypatch.setattr(_Sweeper, "task", watched_task)
-    search_extremal(1, 10)
-    gc.collect()
-    assert len(sweepers) == 1 and sweepers[0]() is None
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        search_extremal(1, 10)
+        assert len(sweepers) == 1 and sweepers[0]() is None
+    finally:
+        if collecting:
+            gc.enable()
     monkeypatch.setattr(search, "verify_mds_bound", failing_check)
     with pytest.raises(RuntimeError, match="check failed"):
         search_extremal(1, 10)
@@ -413,7 +421,7 @@ def kernel_picks(sweeper, start, m, run):
 def merged_picks(sweeper, start, m, run):
     # The same from the full merges of each rest's records with the first
     # subtree's, picked as the counters pick a root.
-    first = sweeper.subtree_record(start[1:m]) if m > 1 else None
+    first = sweeper.memo[start[1:m]] if m > 1 else None
     picks = []
     for rest_mds, rest_mis, _, _ in run:
         mds = _mds_merge(rest_mds, first[0]) if first else rest_mds
@@ -552,7 +560,7 @@ def test_a_failing_sweep_stops_its_workers(monkeypatch):
         # their verdicts in the worker's sweeper.
         if gamma == 4:
             sweeper = search._worker
-            memo = sweeper.subtree_record.cache_info().currsize
+            memo = len(sweeper.memo)
             entries = sum(map(len, sweeper.rests.items.values()))
             raise RuntimeError(f"check failed at order {sweeper.n}: {memo} subtrees, "
                                f"{entries} entries, {len(sweeper.verdicts)} verdicts")
